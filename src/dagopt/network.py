@@ -66,11 +66,21 @@ class Topology:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Dense m x m mixing matrix with its spectral certificate."""
+    """Dense m x m mixing matrix with its spectral certificate.
+
+    The off-diagonal part the integrator mixes with is built once, at
+    construction, and is read-only."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(default=None)  # sorted decreasing
     w_hat: float = field(default=None)  # min_i |w_ii|
+    _offdiag: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        off = np.array(self.matrix, dtype=float, order="C")
+        np.fill_diagonal(off, 0.0)
+        off.flags.writeable = False
+        object.__setattr__(self, "_offdiag", off)
 
     @property
     def m(self) -> int:
@@ -80,9 +90,7 @@ class WeightMatrix:
         return np.diag(self.matrix)
 
     def offdiag(self) -> np.ndarray:
-        W = self.matrix.copy()
-        np.fill_diagonal(W, 0.0)
-        return W
+        return self._offdiag
 
 
 def ring_topology(m: int) -> Topology:

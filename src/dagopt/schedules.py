@@ -90,15 +90,25 @@ class ScheduleSet:
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_AGENT_BITS = 22
+_T_BITS = 40
 
 
 def _stream_key(seed: int, agent: int, t: int, tag: int) -> int:
+    """128-bit Philox key: seed in the high word; agent, t and tag packed
+    into 22, 40 and 2 bits of the low word.  Out-of-range fields raise
+    instead of wrapping, since a wrapped field would alias another key."""
     if not (0 <= tag <= 1):
         raise ValueError("tag must be 0 (zeta) or 1 (xi)")
     if agent < 0 or t < 0:
         raise ValueError("agent and iteration must be nonnegative")
-    lo = ((agent & 0x3FFFFF) << 42) | ((t & 0xFFFFFFFFFF) << 2) | tag
-    return ((seed & _MASK64) << 64) | lo
+    if agent >= 1 << _AGENT_BITS:
+        raise ValueError(f"agent index {agent} does not fit the stream key (must be < 2**{_AGENT_BITS})")
+    if t >= 1 << _T_BITS:
+        raise ValueError(f"iteration {t} does not fit the stream key (must be < 2**{_T_BITS})")
+    if not (0 <= seed <= _MASK64):
+        raise ValueError(f"seed {seed} does not fit the stream key (must be in [0, 2**64))")
+    return (seed << 64) | (agent << (_T_BITS + 2)) | (t << 2) | tag
 
 
 def stream(seed: int, agent: int, t: int, tag: int) -> np.random.Generator:
@@ -112,24 +122,30 @@ def stream(seed: int, agent: int, t: int, tag: int) -> np.random.Generator:
 class _ReusableStream:
     """One Philox bit generator re-keyed per draw.
 
-    Resetting the full generator state (counter, key, output buffer) before
-    each draw yields output bit-identical to a freshly constructed
-    ``stream(...)`` while skipping the per-draw constructor cost; each
-    process/thread uses its own instance, so draws stay contention-free."""
+    Before each draw the full generator state is overwritten from a state
+    dict this object owns: zero counter, empty output buffer and the new
+    key.  That yields output bit-identical to a freshly constructed
+    ``stream(...)`` while skipping the per-draw constructor cost and any
+    read-back of the generator's state; each process/thread uses its own
+    instance, so draws stay contention-free."""
 
     def __init__(self):
         self._bg = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bg)
+        self._key = [0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # buffer exhausted: the first draw computes block 1
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def rekey(self, key: int) -> np.random.Generator:
-        st = self._bg.state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = key & _MASK64
-        st["state"]["key"][1] = key >> 64
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._key[0] = key & _MASK64
+        self._key[1] = key >> 64
+        self._bg.state = self._state
         return self._gen
 
 

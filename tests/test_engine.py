@@ -1,7 +1,10 @@
 """Synchronous-round integrator: update order, exact identities, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from test_problems import legacy_project_box_budget_batch
 
 from dagopt import engine
 from dagopt.harness.config import build_schedules, default_config
@@ -9,6 +12,7 @@ from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology
 from dagopt.problems.base import F_grad, F_value
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.synthetic import synthetic_problem
+from dagopt.schedules import TAG_XI, TAG_ZETA, sample_laplace_vector, stream
 
 
 def small_setup(m=6, noise=True, seed=0, problem=None):
@@ -171,3 +175,80 @@ class TestBaseline:
         engine.run(b, T=4000, stride=4000, stepper="baseline", baseline_lambda=0.01)
         Fa, Fb = F_value(prob, a.x), F_value(prob, b.x)
         assert abs(Fa - Fb) / abs(Fb) < 0.01
+
+
+def reference_rounds(prob, W, sch, seed, T, stepper):
+    """The rounds of ``engine.step`` / ``step_baseline`` written out with the
+    per-row-loop projection, a fresh off-diagonal copy of W every round and
+    a freshly keyed generator per noise draw; yields (x, y, psi) per round."""
+    spec = prob.meta["spec"]
+
+    def project(points):
+        return legacy_project_box_budget_batch(points, spec.x_max, spec.E)
+
+    def noise(tag, t):
+        profile = sch.noise.zeta_profile if tag == TAG_ZETA else sch.noise.xi_profile
+        return np.stack(
+            [
+                sample_laplace_vector(profile(j).value(t) / math.sqrt(2.0), prob.d, stream(seed, j, t, tag))
+                for j in range(prob.m)
+            ]
+        )
+
+    x = project(np.zeros((prob.m, prob.n)))
+    psi = prob.eval_g_all(x)
+    y = prob.eval_grad2_all(x, psi)
+    g_cache, grad2_cache, partial = psi.copy(), y.copy(), 0.0
+    wdiag = np.diag(W.matrix)
+    for t in range(T):
+        off = W.matrix.copy()
+        np.fill_diagonal(off, 0.0)
+        if stepper == "alg1":
+            lam, alpha = sch.lam.value(t), sch.alpha.value(t)
+            gamma1, gamma2 = sch.gamma1.value(t), sch.gamma2.value(t)
+            sent = y + noise(TAG_ZETA, t)
+            norms = np.linalg.norm(sent, axis=1)
+            radius = (1.0 + partial) * prob.constants.L_f2
+            shared = sent * np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
+            y_next = (1.0 + wdiag)[:, None] * y + off @ shared + gamma1 * prob.eval_grad2_all(x, psi)
+            incr = (y_next - y) * (1.0 / max(gamma1, 1e-300))
+            x_next = project(x - lam * (prob.eval_grad1_all(x, psi) + prob.apply_grad_g_all(x, incr)))
+            xi = noise(TAG_XI, t)
+            g_new = prob.eval_g_all(x_next)
+            psi_next = (
+                (1.0 - alpha + gamma2 * wdiag)[:, None] * psi
+                + gamma2 * (off @ (psi + xi))
+                + g_new
+                - (1.0 - alpha) * g_cache
+            )
+            partial += gamma1
+        else:
+            x_next = project(x - 0.01 * (prob.eval_grad1_all(x, psi) + prob.apply_grad_g_all(x, y)))
+            xi = noise(TAG_XI, t)
+            g_new = prob.eval_g_all(x_next)
+            psi_next = (1.0 + wdiag)[:, None] * psi + off @ (psi + xi) + g_new - g_cache
+            zeta = noise(TAG_ZETA, t)
+            grad2_cache_next = prob.eval_grad2_all(x_next, psi_next)
+            y_next = (1.0 + wdiag)[:, None] * y + off @ (y + zeta) + grad2_cache_next - grad2_cache
+            grad2_cache = grad2_cache_next
+        x, y, psi, g_cache = x_next, y_next, psi_next, g_new
+        yield x, y, psi
+
+
+@pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+def test_rounds_bit_identical_to_reference_loop(stepper):
+    from dagopt.network import generate_k_regular
+
+    prob = ev_problem(desk_ev_spec(30))
+    W = build_weight_matrix(generate_k_regular(30, 4, seed=0), 0.12)
+    sch = build_schedules(default_config(), dim=prob.d)
+    state = engine.init_run(prob, W, sch, seed=3, noise_enabled=True)
+    advance = engine.step if stepper == "alg1" else engine.step_baseline
+    rounds = 0
+    for x, y, psi in reference_rounds(prob, W, sch, 3, 20, stepper):
+        advance(state)
+        rounds += 1
+        assert np.array_equal(state.x, x), rounds
+        assert np.array_equal(state.y, y), rounds
+        assert np.array_equal(state.psi, psi), rounds
+    assert rounds == 20 and state.diverged_at is None

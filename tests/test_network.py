@@ -6,6 +6,7 @@ import pytest
 from dagopt.errors import DisconnectedTopology, InfeasibleDegree, SpectralViolation
 from dagopt.network import (
     Topology,
+    WeightMatrix,
     build_weight_matrix,
     complete_topology,
     generate_k_regular,
@@ -102,3 +103,25 @@ class TestWeightMatrix:
         cert = validate_assumption2(bad)
         assert not cert.ok
         assert cert.violations
+
+    def test_offdiag_built_once_and_read_only(self):
+        W = build_weight_matrix(generate_k_regular(20, 4, seed=0), 0.12)
+        off = W.offdiag()
+        assert W.offdiag() is off
+        with pytest.raises(ValueError):
+            off[0, 1] = 1.0
+        expected = W.matrix.copy()
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(off, expected)
+        assert off.flags.c_contiguous
+
+    def test_certificate_verdicts_unaffected_by_offdiag(self):
+        good = build_weight_matrix(ring_topology(8), 0.2)
+        for W in (good, WeightMatrix(matrix=good.matrix)):
+            assert validate_assumption2(W) == validate_assumption2(good.matrix)
+            assert validate_assumption2(W).ok
+        bad = WeightMatrix(matrix=np.array([[-0.5, 0.5], [0.4, -0.4]]))
+        assert np.array_equal(bad.offdiag(), [[0.0, 0.5], [0.4, 0.0]])
+        cert = validate_assumption2(bad)
+        assert not cert.ok
+        assert cert == validate_assumption2(bad.matrix)

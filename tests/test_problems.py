@@ -27,6 +27,46 @@ def bisection_projection(point, x_max, E, iters=200):
     return np.clip(point - 0.5 * (lo + hi), 0.0, x_max)
 
 
+def legacy_project_box_budget_batch(points, x_max, E, polished=None):
+    """The per-row-loop projection the vectorized one replaced, kept as its
+    bit-for-bit reference.  Indices of rows whose equality polish fired are
+    appended to ``polished`` when it is given."""
+    points = np.asarray(points, dtype=float)
+    x_max = np.asarray(x_max, dtype=float)
+    E = np.asarray(E, dtype=float)
+    total = x_max.sum(axis=1)
+    E = np.clip(E, 0.0, total)
+    bp = np.sort(np.concatenate([points, points - x_max], axis=1), axis=1)  # (m, 2K)
+    mass = np.clip(points[:, None, :] - bp[:, :, None], 0.0, x_max[:, None, :]).sum(axis=2)  # (m, 2K)
+    m = points.shape[0]
+    theta = np.empty(m)
+    for i in range(m):
+        j = int(np.searchsorted(-mass[i], -E[i], side="left"))
+        if j == 0:
+            theta[i] = bp[i, 0]
+        elif j == mass.shape[1]:
+            theta[i] = bp[i, -1]
+        else:
+            m_lo, m_hi = mass[i, j - 1], mass[i, j]
+            if m_lo == m_hi:
+                theta[i] = bp[i, j - 1]
+            else:
+                frac = (m_lo - E[i]) / (m_lo - m_hi)
+                theta[i] = bp[i, j - 1] + frac * (bp[i, j] - bp[i, j - 1])
+    out = np.clip(points - theta[:, None], 0.0, x_max)
+    gap = E - out.sum(axis=1)
+    rows = np.nonzero(np.abs(gap) > 1e-13)[0]
+    for i in rows:
+        free = (out[i] > 0) & (out[i] < x_max[i])
+        nfree = int(free.sum())
+        if nfree > 0:
+            if polished is not None:
+                polished.append(int(i))
+            out[i, free] += gap[i] / nfree
+            out[i] = np.clip(out[i], 0.0, x_max[i])
+    return out
+
+
 class TestProjection:
     def test_matches_bisection_oracle(self):
         rng = np.random.default_rng(0)
@@ -77,7 +117,52 @@ class TestProjection:
         E = np.array([0.3 * row.sum() for row in x_max])
         got = project_box_budget_batch(pts, x_max, E)
         for i in range(6):
-            assert np.allclose(got[i], project_box_budget(pts[i], x_max[i], E[i]), atol=1e-12)
+            assert np.array_equal(got[i], project_box_budget(pts[i], x_max[i], E[i]))
+
+    @pytest.mark.parametrize("budget", ["random", "zero", "full"])
+    def test_bit_identical_to_legacy_loop(self, budget):
+        rng = np.random.default_rng({"random": 10, "zero": 11, "full": 12}[budget])
+        for trial in range(40):
+            m = 1200 if trial == 0 else int(rng.integers(1, 80))
+            K = int(rng.integers(1, 16))
+            x_max = rng.uniform(0.0, 5.0, (m, K))
+            x_max[rng.random((m, K)) < 0.25] = 0.0  # closed slots
+            pts = rng.normal(0.0, 4.0, (m, K))
+            if trial % 2:
+                pts = np.round(pts)  # ties among points and breakpoints
+                x_max = np.round(x_max)
+            if trial % 3 == 0:
+                pts[:, K // 2 :] = pts[:, :1]  # repeated coordinates within a row
+            E = {"random": rng.uniform(0.0, 1.0, m) * x_max.sum(axis=1), "zero": np.zeros(m), "full": x_max.sum(axis=1)}[
+                budget
+            ]
+            got = project_box_budget_batch(pts, x_max, E)
+            assert np.array_equal(got, legacy_project_box_budget_batch(pts, x_max, E)), (trial, m, K)
+
+    def test_non_finite_rows_match_legacy_loop(self):
+        # a diverging run can hand the projection NaN coordinates; the other
+        # coordinates of such a row come out as the loop computed them
+        rng = np.random.default_rng(14)
+        pts = rng.normal(0.0, 4.0, (6, 13))
+        x_max = rng.uniform(0.0, 5.0, (6, 13))
+        E = 0.4 * x_max.sum(axis=1)
+        pts[1, 3] = np.nan
+        pts[4] = np.nan
+        got = project_box_budget_batch(pts, x_max, E)
+        assert np.array_equal(got, legacy_project_box_budget_batch(pts, x_max, E), equal_nan=True)
+        assert np.isfinite(np.delete(got[1], 3)).all()
+
+    def test_bit_identical_to_legacy_loop_when_polish_fires(self):
+        # at this magnitude the interpolated theta leaves budget gaps above
+        # 1e-13, so most rows go through the equality polish
+        rng = np.random.default_rng(13)
+        pts = rng.normal(0.0, 4e4, (1000, 13))
+        x_max = rng.uniform(0.0, 5.0, (1000, 13))
+        E = rng.uniform(0.0, 1.0, 1000) * x_max.sum(axis=1)
+        polished = []
+        ref = legacy_project_box_budget_batch(pts, x_max, E, polished)
+        assert len(polished) > 100
+        assert np.array_equal(project_box_budget_batch(pts, x_max, E), ref)
 
 
 class TestEVInstance:

@@ -66,6 +66,30 @@ class TestNoiseStreams:
         b = sample_laplace_vector(0.7 / math.sqrt(2.0), 8, stream(11, 2, 9, TAG_XI))
         assert np.array_equal(a, b)
 
+    def test_reused_generator_matches_fresh_generators_across_keys(self):
+        # Successive draws re-key one cached generator; each must still
+        # equal a draw from its own freshly constructed keyed generator.
+        for k, (seed, agent, t, tag, dim) in enumerate(
+            [(0, 0, 0, TAG_ZETA, 13), (0, 999, 59, TAG_XI, 1), (7, 3, 2, TAG_ZETA, 5), (2**64 - 1, 1, 0, TAG_XI, 64)] * 2
+        ):
+            sigma = 0.5 + k
+            a = noise_vector(seed, agent, t, tag, sigma, dim)
+            b = sample_laplace_vector(sigma / math.sqrt(2.0), dim, stream(seed, agent, t, tag))
+            assert np.array_equal(a, b)
+
+    def test_out_of_range_key_fields_raise(self):
+        # agents 2**22 apart, or iterations 2**40 apart, would otherwise
+        # share a key and draw identical noise
+        for seed, agent, t in [(0, 1 << 22, 5), (0, 0, 1 << 40), (1 << 64, 0, 5), (-1, 0, 5), (0, -1, 5), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                noise_vector(seed, agent, t, TAG_ZETA, 1.0, 4)
+
+    def test_largest_key_fields_still_draw(self):
+        top = noise_vector(2**64 - 1, (1 << 22) - 1, (1 << 40) - 1, TAG_XI, 1.0, 4)
+        assert np.all(np.isfinite(top))
+        assert not np.array_equal(top, noise_vector(2**64 - 1, 0, (1 << 40) - 1, TAG_XI, 1.0, 4))
+        assert not np.array_equal(top, noise_vector(2**64 - 1, (1 << 22) - 1, 0, TAG_XI, 1.0, 4))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         agent=st.integers(0, 100),
