@@ -23,7 +23,7 @@ noise-vulnerable reference for the robustness comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,15 +34,6 @@ from .problems.oracle import OracleSolution
 from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, ScheduleSet, noise_vector
 
 DIVERGENCE_THRESHOLD = 1e12
-
-
-@dataclass
-class AgentState:
-    """Per-agent view (read-only convenience; the run stores stacked arrays)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    psi: np.ndarray
 
 
 @dataclass
@@ -60,10 +51,6 @@ class RunState:
     radius: BallRadiusTracker
     grad2_cache: np.ndarray = None  # used by the baseline stepper only
     diverged_at: int | None = None
-
-    @property
-    def agents(self) -> list[AgentState]:
-        return [AgentState(self.x[i], self.y[i], self.psi[i]) for i in range(self.problem.m)]
 
 
 @dataclass
@@ -274,7 +261,8 @@ def run(
     wsum = 0.0
     wgap = 0.0
     wgrad = 0.0
-    f_star = oracle.F_star if oracle is not None else 0.0
+    # with no oracle (nonconvex problems) there is no F* to measure a gap from
+    f_star = oracle.F_star if oracle is not None else math.nan
 
     def snapshot(t, fval, gradF, direction):
         """Metrics for the pre-step state x_t (direction = estimate at x_t)."""
@@ -353,22 +341,3 @@ def run(
         weighted_avg_grad=(wgrad / wsum) if wsum > 0 else math.nan,
     )
 
-
-def metrics_to_csv(result: RunResult) -> str:
-    """Deterministic CSV serialization (shortest round-trip float repr)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in result.records:
-        row = [
-            str(r.t),
-            repr(float(r.err_x)),
-            repr(float(r.gap_F)),
-            repr(float(r.grad_norm_sq)),
-            repr(float(r.psi_consensus)),
-            repr(float(r.y_consensus)),
-            repr(float(r.grad_est_err)),
-            repr(float(r.weighted_avg_gap)),
-            repr(float(r.weighted_avg_grad)),
-        ]
-        lines.append(",".join(row))
-    lines.append(f"# diverged_at,{result.diverged_at if result.diverged_at is not None else ''}")
-    return "\n".join(lines) + "\n"

@@ -31,22 +31,9 @@ class PointTooCloseToBoundary(DagoptError):
     pass
 
 
-class NoConvergence(DagoptError):
-    """Oracle hit max_iters; the (flagged) result is attached as .solution."""
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
-
-
 # engine
 class DimensionMismatch(DagoptError):
     pass
-
-
-class NonFiniteState(DagoptError):
-    """Raised only when callers opt into strict mode; normally the run is
-    flagged divergent and continues to completion of the log."""
 
 
 # privacy

@@ -143,6 +143,8 @@ def _cmd_gradcheck(args) -> int:
         res = finite_diff_check(problem, x, psi)
         worst = max(worst, res.max_rel_error)
         print(f"point {k}: max relative error {res.max_rel_error:.3e}")
+        if not res.max_rel_error < args.threshold:
+            print(f"point {k}: over threshold at {res.worst}", file=sys.stderr)
     print(f"worst over {args.points} points: {worst:.3e} (threshold {args.threshold:g})")
     return EXIT_OK if worst < args.threshold else EXIT_FAIL
 

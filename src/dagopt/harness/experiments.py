@@ -286,7 +286,7 @@ def _truthfulness_job(args):
 
     def price_of(psi):
         r = np.clip(psi, 0.0, psi_cap)
-        return 0.15 * r**1.5
+        return true_spec.price_coeff * r**true_spec.price_exp
 
     def run_case(spec, family: str):
         problem = ev_problem(spec, psi_cap=psi_cap)
@@ -309,7 +309,8 @@ def _truthfulness_job(args):
             x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
         # realized prices come from actual schedules and TRUE demands
         phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
-        cost = sum(true_problem.f(i, x_eval[i], phi_eval) for i in scenario.agents)
+        psi_eval = np.broadcast_to(phi_eval, (true_problem.m, true_problem.d))
+        cost = sum(true_problem.eval_f_all(x_eval, psi_eval)[list(scenario.agents)])
         return float(cost), F_value(true_problem, x_eval)
 
     out = {}
@@ -369,19 +370,13 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
 # ---------------------------------------------------------------------------
 
 
-def _records_csv(records: list[MetricsRecord], zero_fill_nan: bool = True) -> str:
+def _records_csv(records: list[MetricsRecord]) -> str:
+    """Deterministic CSV serialization (shortest round-trip float repr).
+    Non-finite values are written as they are: ``nan`` where a column has
+    no value (err_x and gap_F without an oracle) or a run diverged."""
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        vals = []
-        for c in CSV_COLUMNS:
-            v = getattr(rec, c)
-            if c == "t":
-                vals.append(str(v))
-                continue
-            if not math.isfinite(v) and zero_fill_nan and not rec.diverged:
-                v = 0.0
-            vals.append(repr(float(v)))
-        lines.append(",".join(vals))
+        lines.append(",".join([str(rec.t)] + [repr(float(getattr(rec, c))) for c in CSV_COLUMNS[1:]]))
     div = [r.t for r in records if r.diverged]
     lines.append(f"# diverged_at,{div[0] if div else ''}")
     return "\n".join(lines) + "\n"

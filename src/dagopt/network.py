@@ -244,7 +244,3 @@ def load_edgelist(path) -> Topology:
     if m is None:
         m = max(max(e) for e in edges) + 1
     return Topology(m, tuple(sorted(set(edges))), "explicit")
-
-
-def save_weight_csv(W: WeightMatrix, path) -> None:
-    np.savetxt(path, W.matrix, delimiter=",", fmt="%.17g")

@@ -229,7 +229,6 @@ class PrivacyReport:
     epsilon: float
     eps_psi: float  # contribution of the aggregate-tracker mechanism
     eps_y: float  # contribution of the gradient-tracker mechanism
-    tail_bound: float  # certified bound on the truncated tail (0 for finite T)
     c1: float
     c2: float
     w_hat: float
@@ -275,7 +274,6 @@ def epsilon(
     A_psi = math.sqrt(2.0) * c1 * schedules.lam.base / (sig_xi * schedules.gamma1.base * schedules.gamma2.base)
     A_y = math.sqrt(2.0) * c2 * schedules.gamma1.base / sig_zeta
 
-    tail = 0.0
     if T is not None:
         eps_psi = math.fsum(A_psi / (t + 1.0) ** p_psi for t in range(1, T + 1))
         eps_y = math.fsum(A_y / (t + 1.0) ** p_y for t in range(1, T + 1))
@@ -290,7 +288,6 @@ def epsilon(
         epsilon=eps_psi + eps_y,
         eps_psi=eps_psi,
         eps_y=eps_y,
-        tail_bound=tail,
         c1=c1,
         c2=c2,
         w_hat=w_hat,

@@ -1,6 +1,6 @@
 from .base import AggregativeProblem, ProblemConstants, aggregate, F_value, F_grad
-from .projections import project_box_budget, project_box
-from .ev import EVChargingSpec, ev_problem, desk_ev_spec, load_ev_spec
+from .projections import project_box_budget
+from .ev import EVChargingSpec, ev_problem, desk_ev_spec
 from .synthetic import synthetic_problem
 from .oracle import OracleSolution, centralized_oracle
 from .gradcheck import finite_diff_check
@@ -12,11 +12,9 @@ __all__ = [
     "F_value",
     "F_grad",
     "project_box_budget",
-    "project_box",
     "EVChargingSpec",
     "ev_problem",
     "desk_ev_spec",
-    "load_ev_spec",
     "synthetic_problem",
     "OracleSolution",
     "centralized_oracle",

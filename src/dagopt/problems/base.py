@@ -1,24 +1,23 @@
 """The aggregative-problem interface.
 
-A problem bundles, for each agent i, the local objective f_i(x^i, psi), the
-aggregate contribution g_i(x^i), the feasible set X_i (as a projection), the
-gradients, and the constants used by the ball radius / privacy / truthfulness
-formulas.
+A problem bundles, for all m agents at once, the local objectives
+f_i(x^i, psi^i), the aggregate contributions g_i(x^i), the feasible sets X_i
+(as a projection), the gradients, and the constants used by the ball radius
+/ privacy / truthfulness formulas.  Every callable is vectorized over the
+agents; there is no per-agent form and no fallback loop, so the callables
+the integrator runs are the ones the gradient check validates.
 
 Conventions
 -----------
 - x is stacked as an (m, n) array (uniform per-agent dimension n).
-- psi arguments are single d-vectors (each agent evaluates at its own psi).
-- grad_g(i, x_i) returns the (n, d) matrix whose product with a d-vector is
-  the chain-rule term used in the decision update.
+- psi is stacked as an (m, d) array: row i is the aggregate estimate at
+  which agent i evaluates its own f_i.
+- gg_apply_all(x, v) returns the (m, n) stack of products grad_g_i(x^i) @ v^i,
+  where grad_g_i(x^i) is the (n, d) Jacobian transpose of g_i.
 - Every problem carries a box [psi_lo, psi_hi] on which f_i(x, .) is defined;
   evaluators clamp psi into it, which keeps grad2_f globally bounded by L_f2
   (required for the ball-containment argument) and pins the domain on which
   the Lipschitz constants are computed.
-
-Vectorized fast paths (g_all, grad1_all, grad2_all, gg_apply_all, f_all,
-project_all) operate on all agents at once; the integrator uses them when
-present and falls back to per-agent loops otherwise.
 """
 
 from __future__ import annotations
@@ -54,70 +53,47 @@ class AggregativeProblem:
     m: int
     n: int  # per-agent decision dimension
     d: int  # aggregate dimension
-    f: Callable[[int, np.ndarray, np.ndarray], float]
-    grad1_f: Callable[[int, np.ndarray, np.ndarray], np.ndarray]  # (n,)
-    grad2_f: Callable[[int, np.ndarray, np.ndarray], np.ndarray]  # (d,)
-    g: Callable[[int, np.ndarray], np.ndarray]  # (d,)
-    grad_g: Callable[[int, np.ndarray], np.ndarray]  # (n, d)
-    project: Callable[[int, np.ndarray], np.ndarray]  # (n,)
+    f_all: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (m,n),(m,d)->(m,)
+    g_all: Callable[[np.ndarray], np.ndarray]  # (m,n)->(m,d)
+    grad1_all: Callable[[np.ndarray, np.ndarray], np.ndarray]  # ->(m,n)
+    grad2_all: Callable[[np.ndarray, np.ndarray], np.ndarray]  # ->(m,d)
+    gg_apply_all: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (m,n),(m,d)->(m,n)
+    project_all: Callable[[np.ndarray], np.ndarray]  # (m,n)->(m,n)
     constants: ProblemConstants
-    psi_lo: np.ndarray = None  # (d,) domain box for psi
-    psi_hi: np.ndarray = None
+    psi_lo: np.ndarray  # (d,) domain box for psi
+    psi_hi: np.ndarray
     name: str = "problem"
-    # optional vectorized fast paths (all-agents at once)
-    f_all: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # (m,n),(m,d)->(m,)
-    g_all: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (m,n)->(m,d)
-    grad1_all: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # ->(m,n)
-    grad2_all: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # ->(m,d)
-    gg_apply_all: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # (m,n),(m,d)->(m,n)
-    project_all: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (m,n)->(m,n)
-    # Gradient-check hooks.  interior_check(i, x_i, h) -> bool says whether
-    # x_i +- h stays in the smooth evaluation region; the default (None)
-    # means "projection leaves the perturbed point unchanged", which is the
-    # right test for full-dimensional sets but not for sets with equality
-    # constraints (the EV budget), whose f/g are smooth off the set anyway.
-    interior_check: Optional[Callable[[int, np.ndarray, float], bool]] = None
-    # interior_sampler(i, rng) -> x_i draws a strictly interior point.
-    interior_sampler: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
+    # Gradient-check hooks.  interior_check(x, h) -> (m,) bool says which
+    # agents' x^i +- h stay in the smooth evaluation region; the default
+    # (None) means "projection leaves the perturbed point unchanged", which
+    # is the right test for full-dimensional sets but not for sets with
+    # equality constraints (the EV budget), whose f/g are smooth off the set.
+    interior_check: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    # interior_sampler(rng) -> (m, n) draws a strictly interior point.
+    interior_sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     meta: dict = field(default_factory=dict)
 
-    # ---- convenience wrappers (fall back to per-agent loops) ----
+    # Method wrappers around the fields, kept as the names callers (and
+    # per-layer tracing) look up on the class.
 
     def eval_g_all(self, x: np.ndarray) -> np.ndarray:
-        if self.g_all is not None:
-            return self.g_all(x)
-        return np.stack([self.g(i, x[i]) for i in range(self.m)])
+        return self.g_all(x)
 
     def eval_f_all(self, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        if self.f_all is not None:
-            return self.f_all(x, psi)
-        return np.array([self.f(i, x[i], psi[i]) for i in range(self.m)])
+        return self.f_all(x, psi)
 
     def eval_grad1_all(self, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        if self.grad1_all is not None:
-            return self.grad1_all(x, psi)
-        return np.stack([self.grad1_f(i, x[i], psi[i]) for i in range(self.m)])
+        return self.grad1_all(x, psi)
 
     def eval_grad2_all(self, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        if self.grad2_all is not None:
-            return self.grad2_all(x, psi)
-        return np.stack([self.grad2_f(i, x[i], psi[i]) for i in range(self.m)])
+        return self.grad2_all(x, psi)
 
     def apply_grad_g_all(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-agent products grad_g(i, x^i) @ v^i, stacked (m, n)."""
-        if self.gg_apply_all is not None:
-            return self.gg_apply_all(x, v)
-        return np.stack([self.grad_g(i, x[i]) @ v[i] for i in range(self.m)])
+        """Per-agent products grad_g_i(x^i) @ v^i, stacked (m, n)."""
+        return self.gg_apply_all(x, v)
 
     def eval_project_all(self, x: np.ndarray) -> np.ndarray:
-        if self.project_all is not None:
-            return self.project_all(x)
-        return np.stack([self.project(i, x[i]) for i in range(self.m)])
-
-    def clamp_psi(self, psi: np.ndarray) -> np.ndarray:
-        if self.psi_lo is None:
-            return psi
-        return np.clip(psi, self.psi_lo, self.psi_hi)
+        return self.project_all(x)
 
 
 def aggregate(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:

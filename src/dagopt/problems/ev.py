@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import InfeasibleSpec
 from .base import AggregativeProblem, ProblemConstants
-from .projections import project_box_budget, project_box_budget_batch
+from .projections import project_box_budget_batch
 
 K_SLOTS = 13
 PRICE_COEFF = 0.15
@@ -83,26 +83,6 @@ def _read_demand_profile():
     if len(vals) != K_SLOTS:
         raise InfeasibleSpec(f"demand profile must have {K_SLOTS} values, got {len(vals)}")
     return np.array(vals)
-
-
-def load_ev_spec(models_csv, demand_csv, m: int | None = None) -> EVChargingSpec:
-    """Build a spec from a (model, max_rate_kW, battery_kWh) CSV plus a
-    13-value per-user demand profile file.  With m given, the model list is
-    cycled to m users; capacity is scaled to 12 kW per user."""
-    with open(models_csv) as fh:
-        rows = list(csv.DictReader(fh))
-    models = [(r["model"], float(r["max_rate_kW"]), float(r["battery_kWh"])) for r in rows]
-    vals = []
-    with open(demand_csv) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                vals.append(float(line))
-    if len(vals) != K_SLOTS:
-        raise InfeasibleSpec(f"demand profile must have {K_SLOTS} values, got {len(vals)}")
-    profile = np.array(vals)
-    m = m if m is not None else len(models)
-    return _assemble_spec(models, profile, m)
 
 
 def _assemble_spec(models, profile, m) -> EVChargingSpec:
@@ -158,25 +138,6 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
         # and it only differs from the true slope above the feasible range
         return dcoeff * np.clip(psi, 0.0, cap) ** (pexp - 1.0)
 
-    def f(i, xi, psi):
-        return float(price(psi) @ (xi + spec.d[i]))
-
-    def grad1_f(i, xi, psi):
-        return price(psi)
-
-    def grad2_f(i, xi, psi):
-        return dprice(psi) * (xi + spec.d[i])
-
-    def g(i, xi):
-        return scale * (xi + spec.d[i])
-
-    def grad_g(i, xi):
-        return scale * np.eye(K)
-
-    def project(i, point):
-        return project_box_budget(point, spec.x_max[i], float(spec.E[i]))
-
-    # vectorized fast paths
     def f_all(x, psi):
         return np.einsum("ik,ik->i", price(psi), x + spec.d)
 
@@ -198,13 +159,12 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
     # Gradient-check hooks: the budget equality gives X_i an empty interior,
     # but f_i and g_i are smooth in x everywhere, so interiority only needs
     # the rate box (and the psi clamp, handled by the psi domain).
-    def interior_check(i, xi, h2):
-        return bool(np.all(xi > h2) and np.all(xi < spec.x_max[i] - h2))
+    def interior_check(x, h2):
+        return np.all((x > h2) & (x < spec.x_max - h2), axis=1)
 
-    def interior_sampler(i, rng):
-        uniform = np.full(K, float(spec.E[i]) / K)
-        rand_pt = project_box_budget(rng.uniform(0.0, 1.0, K) * spec.x_max[i], spec.x_max[i], float(spec.E[i]))
-        return 0.7 * uniform + 0.3 * rand_pt
+    def interior_sampler(rng):
+        rand_pt = project_box_budget_batch(rng.uniform(0.0, 1.0, (m, K)) * spec.x_max, spec.x_max, spec.E)
+        return 0.7 * (spec.E[:, None] / K) + 0.3 * rand_pt
 
     margin = 1.1
     L_f1 = margin * math.sqrt(K) * coeff * cap**pexp
@@ -236,12 +196,6 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
         m=m,
         n=K,
         d=K,
-        f=f,
-        grad1_f=grad1_f,
-        grad2_f=grad2_f,
-        g=g,
-        grad_g=grad_g,
-        project=project,
         constants=constants,
         psi_lo=psi_lo,
         psi_hi=psi_hi,

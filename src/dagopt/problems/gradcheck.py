@@ -13,13 +13,21 @@ from .base import AggregativeProblem
 @dataclass(frozen=True)
 class GradCheckResult:
     max_rel_error: float
-    worst: str  # human-readable offending gradient/agent/coordinate
-    details: dict
+    worst: str  # human-readable offending gradient and agent
 
 
-def _rel(err_vec: np.ndarray, ref: np.ndarray) -> float:
-    """Blockwise relative error: ||fd - analytic||_inf / max(1, ||analytic||_inf)."""
-    return float(np.abs(err_vec).max() / max(1.0, np.abs(ref).max()))
+def _rel(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per-agent relative error ||fd - analytic||_inf / max(1, ||analytic||_inf)
+    over all axes but the leading agent axis."""
+    axes = tuple(range(1, err.ndim))
+    return np.abs(err).max(axis=axes) / np.maximum(1.0, np.abs(ref).max(axis=axes))
+
+
+def _central(fn, arr: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``fn`` along each column j of ``arr``, stacked
+    on axis 1.  Column j moves in every row at once, so one pair of
+    evaluations gives the derivatives of all m agents."""
+    return np.stack([(fn(arr + e) - fn(arr - e)) / (2 * h) for e in h * np.eye(arr.shape[1])], axis=1)
 
 
 def finite_diff_check(
@@ -28,12 +36,15 @@ def finite_diff_check(
     psi: np.ndarray,
     h: float = 1e-5,
 ) -> GradCheckResult:
-    """Compare grad1_f, grad2_f and grad_g against central differences.
+    """Compare grad1_all, grad2_all and gg_apply_all against central
+    differences of f_all and g_all.
 
     ``x`` is the stacked (m, n) decision, ``psi`` a single d-vector at which
     every agent is probed.  Points must be strictly interior: each x^i +- h
-    must survive projection unchanged and psi +- h must stay inside the psi
-    domain box."""
+    must survive projection unchanged (or pass the problem's interior_check)
+    and psi +- h must stay inside the psi domain box.  The analytic (n, d)
+    Jacobian of each g_i is recovered by applying gg_apply_all to the d unit
+    vectors."""
     if not (1e-7 <= h <= 1e-4):
         raise ValueError("h must lie in [1e-7, 1e-4]")
     m, n, d = problem.m, problem.n, problem.d
@@ -41,74 +52,45 @@ def finite_diff_check(
     psi = np.asarray(psi, dtype=float)
 
     # interiority checks
-    for i in range(m):
-        if problem.interior_check is not None:
-            if not problem.interior_check(i, x[i], 2 * h):
-                raise PointTooCloseToBoundary(f"x^{i} within 2h of the smooth-domain boundary")
-            continue
-        for j in range(n):
-            for s in (+1.0, -1.0):
-                pt = x[i].copy()
-                pt[j] += s * 2 * h
-                if np.abs(problem.project(i, pt) - pt).max() > 1e-12:
-                    raise PointTooCloseToBoundary(f"x^{i} coordinate {j} within 2h of the boundary of X_{i}")
-    if problem.psi_lo is not None:
-        if np.any(psi - 2 * h <= problem.psi_lo) or np.any(psi + 2 * h >= problem.psi_hi):
-            raise PointTooCloseToBoundary("psi within 2h of the psi domain box")
+    if problem.interior_check is not None:
+        inside = problem.interior_check(x, 2 * h)
+        if not inside.all():
+            raise PointTooCloseToBoundary(f"x^{int(np.argmin(inside))} within 2h of the smooth-domain boundary")
+    else:
+        moved = np.zeros((m, n), dtype=bool)
+        for j, e in enumerate(2 * h * np.eye(n)):
+            for pt in (x + e, x - e):
+                moved[:, j] |= np.abs(problem.project_all(pt) - pt).max(axis=1) > 1e-12
+        if moved.any():
+            i, j = np.argwhere(moved)[0]
+            raise PointTooCloseToBoundary(f"x^{i} coordinate {j} within 2h of the boundary of X_{i}")
+    if np.any(psi - 2 * h <= problem.psi_lo) or np.any(psi + 2 * h >= problem.psi_hi):
+        raise PointTooCloseToBoundary("psi within 2h of the psi domain box")
 
-    worst = ("", -1.0)
-    details = {}
-    for i in range(m):
-        # grad1_f against d f / d x
-        an1 = problem.grad1_f(i, x[i], psi)
-        fd1 = np.zeros(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fd1[j] = (problem.f(i, x[i] + e, psi) - problem.f(i, x[i] - e, psi)) / (2 * h)
-        r1 = _rel(fd1 - an1, an1)
-        # grad2_f against d f / d psi
-        an2 = problem.grad2_f(i, x[i], psi)
-        fd2 = np.zeros(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            fd2[k] = (problem.f(i, x[i], psi + e) - problem.f(i, x[i], psi - e)) / (2 * h)
-        r2 = _rel(fd2 - an2, an2)
-        # grad_g against the Jacobian of g
-        anJ = problem.grad_g(i, x[i])  # (n, d)
-        fdJ = np.zeros((n, d))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            fdJ[j] = (problem.g(i, x[i] + e) - problem.g(i, x[i] - e)) / (2 * h)
-        rJ = _rel((fdJ - anJ).ravel(), anJ.ravel())
-        details[i] = {"grad1_f": r1, "grad2_f": r2, "grad_g": rJ}
-        for name, r in (("grad1_f", r1), ("grad2_f", r2), ("grad_g", rJ)):
-            if r > worst[1]:
-                worst = (f"{name} agent {i}", r)
-    return GradCheckResult(max_rel_error=worst[1], worst=worst[0], details=details)
+    P = np.broadcast_to(psi, (m, d))
+    fd1, an1 = _central(lambda v: problem.f_all(v, P), x, h), problem.grad1_all(x, P)
+    fd2, an2 = _central(lambda v: problem.f_all(x, v), P, h), problem.grad2_all(x, P)
+    # the Jacobians of g, stacked (m, n, d); the analytic one column by column
+    fdJ = _central(problem.g_all, x, h)
+    anJ = np.stack([problem.gg_apply_all(x, np.broadcast_to(e, (m, d))) for e in np.eye(d)], axis=2)
+    names = ("grad1_all", "grad2_all", "gg_apply_all")
+    rel = np.stack([_rel(fd1 - an1, an1), _rel(fd2 - an2, an2), _rel(fdJ - anJ, anJ)], axis=1)  # (m, 3)
+    i, k = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    return GradCheckResult(max_rel_error=float(rel[i, k]), worst=f"{names[k]} agent {i}")
 
 
 def random_interior_point(problem: AggregativeProblem, seed: int, pull: float = 0.25):
     """A strictly interior (x, psi) pair for gradient checking.
 
-    x is built by pulling a random feasible point towards the analytic
-    center of X_i; psi is drawn well inside the psi domain box."""
+    x is the problem's interior sample, or a uniform draw pulled towards
+    the center of the box [-1, 1]^n; psi is drawn well inside the psi
+    domain box."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    m, n, d = problem.m, problem.n, problem.d
-    x = np.zeros((m, n))
-    for i in range(m):
-        if problem.interior_sampler is not None:
-            x[i] = problem.interior_sampler(i, rng)
-            continue
-        # draw well inside the (box-like) set; projection is a no-op for
-        # interior points and a guard otherwise
-        x[i] = problem.project(i, (1.0 - pull) * rng.uniform(-1.0, 1.0, size=n))
-    lo, hi = problem.psi_lo, problem.psi_hi
-    if lo is None:
-        psi = rng.uniform(-1.0, 1.0, size=d)
+    if problem.interior_sampler is not None:
+        x = problem.interior_sampler(rng)
     else:
-        u = rng.uniform(0.3, 0.7, size=d)
-        psi = lo + u * (hi - lo)
+        # projection is a no-op for interior points and a guard otherwise
+        x = problem.project_all((1.0 - pull) * rng.uniform(-1.0, 1.0, size=(problem.m, problem.n)))
+    u = rng.uniform(0.3, 0.7, size=problem.d)
+    psi = problem.psi_lo + u * (problem.psi_hi - problem.psi_lo)
     return x, psi

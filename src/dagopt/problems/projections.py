@@ -9,10 +9,6 @@ from ..errors import InfeasibleBudget
 _EQ_TOL = 1e-10
 
 
-def project_box(point: np.ndarray, lo, hi) -> np.ndarray:
-    return np.clip(point, lo, hi)
-
-
 def project_box_budget_batch(points: np.ndarray, x_max: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Row-wise projection onto {0 <= x <= x_max[i], 1'x = E[i]}.
 

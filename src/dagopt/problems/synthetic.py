@@ -55,13 +55,6 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
 
     if kind == "strongly-convex":
 
-        def f(i, xi, psi):
-            r = clamp(psi) - b[i]
-            return 0.5 * float((xi - a[i]) @ (xi - a[i])) + 0.5 * float(r @ r)
-
-        def grad1_f(i, xi, psi):
-            return xi - a[i]
-
         def f_all(x, psi):
             r = clamp(psi) - b
             dx = x - a
@@ -71,19 +64,6 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
             return x - a
 
     else:
-
-        def f(i, xi, psi):
-            r = clamp(psi) - b[i]
-            val = float(q[i] @ xi) + 0.5 * float(r @ r)
-            if kappa:
-                val += kappa * float(np.sin(xi).sum())
-            return val
-
-        def grad1_f(i, xi, psi):
-            gr = q[i].copy()
-            if kappa:
-                gr = gr + kappa * np.cos(xi)
-            return gr
 
         def f_all(x, psi):
             r = clamp(psi) - b
@@ -98,26 +78,14 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
                 gr += kappa * np.cos(x)
             return gr
 
-    def grad2_f(i, xi, psi):
-        return (clamp(psi) - b[i]) * inside(psi)
-
     def grad2_all(x, psi):
         return (clamp(psi) - b) * inside(psi)
-
-    def g(i, xi):
-        return A[i] @ xi + c[i]
 
     def g_all(x):
         return np.einsum("idn,in->id", A, x) + c
 
-    def grad_g(i, xi):
-        return A[i].T
-
     def gg_apply_all(x, v):
         return np.einsum("idn,id->in", A, v)
-
-    def project(i, point):
-        return np.clip(point, -1.0, 1.0)
 
     def project_all(x):
         return np.clip(x, -1.0, 1.0)
@@ -155,12 +123,6 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         m=m,
         n=n,
         d=d,
-        f=f,
-        grad1_f=grad1_f,
-        grad2_f=grad2_f,
-        g=g,
-        grad_g=grad_g,
-        project=project,
         constants=constants,
         psi_lo=psi_lo,
         psi_hi=psi_hi,

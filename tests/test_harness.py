@@ -149,6 +149,25 @@ class TestEmission:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert manifest_hash(cfg) in manifest
 
+    def test_nonconvex_run_writes_nan_without_an_oracle(self, tmp_path):
+        cfg = parse_config(
+            "[experiment]\nkind = convergence\nT = 200\nstride = 10\nseeds = 0\n"
+            "[problem]\nproblem = nonconvex\nm = 6\nn = 4\nd = 4\n"
+            "[schedules]\npreset = corollary1-ncvx\n"
+        )
+        summary = run_convergence_experiment(cfg)
+        emit_outputs(summary, tmp_path)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == 21
+        for col in ("err_x", "gap_F"):
+            assert all(row[header.index(col)] == "nan" for row in rows), col
+        # the fitted grad_norm_sq slope does not depend on F*, and keeps the
+        # value it had when the gap was written as F - 0
+        assert summary.slope_metric == "grad_norm_sq"
+        assert summary.slope == pytest.approx(0.00018724278230013278, rel=1e-9)
+
     def test_repeat_emission_identical_bytes(self, tmp_path):
         cfg = dataclasses.replace(default_config(), T=40, stride=10, seeds=(0,))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -196,11 +215,14 @@ class TestCli:
         )
         assert cli.main(["privacy-report", str(cfg_path)]) == 0
 
-    def test_assertion_failure_exit_code(self, tmp_path):
+    def test_assertion_failure_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text("[experiment]\nkind = gradcheck\n")
         # impossible threshold forces the failure path
         assert cli.main(["gradcheck", str(cfg_path), "--points", "1", "--threshold", "0"]) == 2
+        # and stderr names the gradient and agent behind it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("point 0: over threshold at ") and " agent " in err[0]
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -1,11 +1,13 @@
 """Problem instances: projections, gradients, constants, and the oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagopt.errors import InfeasibleBudget
+from dagopt.errors import InfeasibleBudget, PointTooCloseToBoundary
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
@@ -221,6 +223,67 @@ class TestSynthetic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(Exception):
             synthetic_problem("cubic", 4, 2, 2, seed=0)
+
+
+def gradcheck_problem(kind):
+    """The four problems of the gradient-correctness criterion."""
+    if kind == "ev":
+        return ev_problem(desk_ev_spec(20))
+    return synthetic_problem(kind, m=6, n_i=4, d=4, seed=0)
+
+
+def reference_interior_point(prob, seed, pull=0.25):
+    """The per-agent loop the block draw of random_interior_point replaced."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x = np.zeros((prob.m, prob.n))
+    for i in range(prob.m):
+        if "spec" in prob.meta:
+            spec = prob.meta["spec"]
+            E_i, x_max_i = float(spec.E[i]), spec.x_max[i]
+            rand_pt = project_box_budget(rng.uniform(0.0, 1.0, prob.n) * x_max_i, x_max_i, E_i)
+            x[i] = 0.7 * np.full(prob.n, E_i / prob.n) + 0.3 * rand_pt
+        else:
+            x[i] = np.clip((1.0 - pull) * rng.uniform(-1.0, 1.0, size=prob.n), -1.0, 1.0)
+    psi = prob.psi_lo + rng.uniform(0.3, 0.7, size=prob.d) * (prob.psi_hi - prob.psi_lo)
+    return x, psi
+
+
+KINDS = ["ev", "strongly-convex", "convex", "nonconvex"]
+
+
+class TestGradCheck:
+    @pytest.mark.parametrize("field", ["grad1_all", "grad2_all", "gg_apply_all"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_detects_a_wrong_vectorized_gradient(self, kind, field):
+        prob = gradcheck_problem(kind)
+        right = getattr(prob, field)
+        wrong = dataclasses.replace(prob, **{field: lambda *args: 1.01 * right(*args)})
+        x, psi = random_interior_point(wrong, seed=0)
+        res = finite_diff_check(wrong, x, psi)
+        # a 1% error shows as 1% of max(1, |gradient|_inf) at most: the EV
+        # Jacobian entries are m / C_tot = 0.083, so there it reads 8.3e-4
+        assert res.max_rel_error > 1e-4
+        assert res.worst.startswith(f"{field} agent ")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interior_point_matches_per_agent_draws(self, kind):
+        prob = gradcheck_problem(kind)
+        for seed in (0, 1000, 1019):
+            x, psi = random_interior_point(prob, seed=seed)
+            x_ref, psi_ref = reference_interior_point(prob, seed)
+            assert np.array_equal(x, x_ref) and np.array_equal(psi, psi_ref)
+
+    def test_boundary_point_names_the_agent(self):
+        prob = gradcheck_problem("convex")
+        x, psi = random_interior_point(prob, seed=0)
+        x[4, 2] = 1.0 - 1e-6
+        with pytest.raises(PointTooCloseToBoundary, match="x\\^4 coordinate 2"):
+            finite_diff_check(prob, x, psi)
+        ev = gradcheck_problem("ev")
+        x, psi = random_interior_point(ev, seed=0)
+        x[7, 0] = 0.0
+        with pytest.raises(PointTooCloseToBoundary, match="x\\^7 "):
+            finite_diff_check(ev, x, psi)
 
 
 class TestOracle:
