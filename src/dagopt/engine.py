@@ -158,29 +158,32 @@ def _line4(state: RunState) -> np.ndarray:
     return (1.0 + wdiag)[:, None] * state.y + state.W.offdiag() @ shared + gamma1_t * grad2
 
 
+def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) -> np.ndarray:
+    """psi_{t+1} from the current state and g(x_{t+1}), with the xi noise
+    keyed at the current iteration.  alpha_t = 0, gamma2_t = 1 gives the
+    conventional tracker's update bit for bit (the extra terms become exact
+    multiplications by 1 and subtractions of 0)."""
+    xi = _draw_noise(state, TAG_XI, state.t)
+    return (
+        (1.0 - alpha_t + gamma2_t * state.W.diag())[:, None] * state.psi
+        + gamma2_t * (state.W.offdiag() @ (state.psi + xi))
+        + g_new
+        - (1.0 - alpha_t) * state.g_cache
+    )
+
+
 def step(state: RunState) -> np.ndarray:
     """Advance one round in place; returns the stacked direction used in
     line 5 (the gradient estimate), for metrics."""
-    t = state.t
     sched = state.schedules
-    lam_t = sched.lam.value(t)
-    alpha_t = sched.alpha.value(t)
-    gamma2_t = sched.gamma2.value(t)
-    wdiag = state.W.diag()
-    woff = state.W.offdiag()
+    lam_t = sched.lam.value(state.t)
 
     y_next = _line4(state)
     direction = gradient_estimate(state, y_next)
     x_next = state.problem.eval_project_all(state.x - lam_t * direction)
 
-    xi = _draw_noise(state, TAG_XI, t)
     g_new = state.problem.eval_g_all(x_next)
-    psi_next = (
-        (1.0 - alpha_t + gamma2_t * wdiag)[:, None] * state.psi
-        + gamma2_t * (woff @ (state.psi + xi))
-        + g_new
-        - (1.0 - alpha_t) * state.g_cache
-    )
+    psi_next = _line7(state, g_new, sched.alpha.value(state.t), sched.gamma2.value(state.t))
 
     _commit(state, x_next, y_next, psi_next, g_new)
     return direction
@@ -201,9 +204,8 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
     direction = prob.eval_grad1_all(state.x, state.psi) + prob.apply_grad_g_all(state.x, state.y)
     x_next = prob.eval_project_all(state.x - lam * direction)
 
-    xi = _draw_noise(state, TAG_XI, t)
     g_new = prob.eval_g_all(x_next)
-    psi_next = (1.0 + wdiag)[:, None] * state.psi + woff @ (state.psi + xi) + g_new - state.g_cache
+    psi_next = _line7(state, g_new, 0.0, 1.0)
 
     zeta = _draw_noise(state, TAG_ZETA, t)
     grad2_new = prob.eval_grad2_all(x_next, psi_next)
@@ -264,12 +266,10 @@ def run(
     # with no oracle (nonconvex problems) there is no F* to measure a gap from
     f_star = oracle.F_star if oracle is not None else math.nan
 
-    def snapshot(t, fval, gradF, direction):
-        """Metrics for the pre-step state x_t (direction = estimate at x_t)."""
-        phi = aggregate(prob, state_x_view["x"])
-        x_now = state_x_view["x"]
-        psi_now = state_x_view["psi"]
-        y_now = state_x_view["y"]
+    def snapshot(t, x_now, psi_now, y_now, fval, gradF, direction):
+        """Metrics for the pre-step state (x_t, psi_t, y_t); direction is the
+        gradient estimate at x_t."""
+        phi = aggregate(prob, x_now)
         if oracle is not None:
             diff = x_now - oracle.x_star
             err = float((diff * diff).sum())
@@ -293,18 +293,10 @@ def run(
             diverged=state.diverged_at is not None,
         )
 
-    state_x_view = {}
-
-    def capture_pre():
-        state_x_view["x"] = state.x
-        state_x_view["psi"] = state.psi
-        state_x_view["y"] = state.y
-
     for t_iter in range(T):
         record_now = (t_iter % stride == 0)
-        need_f = record_now or track_weighted
-        if need_f:
-            capture_pre()
+        pre = (state.x, state.psi, state.y)  # step replaces these arrays, never writes into them
+        if record_now or track_weighted:
             fval = F_value(prob, state.x)
             gradF = F_grad(prob, state.x)
         if track_weighted:
@@ -319,7 +311,7 @@ def run(
         else:
             raise ValueError(f"unknown stepper {stepper!r}")
         if record_now:
-            records.append(snapshot(t_iter, fval, gradF, direction))
+            records.append(snapshot(t_iter, *pre, fval, gradF, direction))
         if state.diverged_at is not None:
             # flag and stop: the log is partial by design
             if records:
@@ -328,11 +320,10 @@ def run(
     if state.diverged_at is None:
         # terminal record at t = T; the gradient estimate uses a dry line-4
         # evaluation (noise keyed at iteration T, state not advanced)
-        capture_pre()
         fval = F_value(prob, state.x)
         gradF = F_grad(prob, state.x)
         direction = gradient_estimate(state, _line4(state)) if T > 0 else None
-        records.append(snapshot(state.t, fval, gradF, direction))
+        records.append(snapshot(state.t, state.x, state.psi, state.y, fval, gradF, direction))
     return RunResult(
         records=records,
         final_state=state,

@@ -19,7 +19,7 @@ from ..errors import DagoptError
 from ..network import build_weight_matrix, load_edgelist, validate_assumption2
 from ..problems import finite_diff_check
 from ..problems.gradcheck import random_interior_point
-from .config import build_network, build_problem, build_schedules, config_to_text, default_config, parse_config
+from .config import build_instance, build_problem, config_to_text, default_config, parse_config
 from .experiments import (
     AdjacentScenario,
     emit_outputs,
@@ -93,9 +93,7 @@ def _cmd_validate_graph(args) -> int:
 
 def _cmd_privacy_report(args) -> int:
     cfg = _load_cfg(args.config)
-    problem = build_problem(cfg)
-    W = build_network(cfg)
-    schedules = build_schedules(cfg, dim=problem.d)
+    problem, W, schedules = build_instance(cfg)
     lines = ["regime,condition,left,right,satisfied"]
     print("== regime conditions ==")
     all_regimes = privacy.REGIMES

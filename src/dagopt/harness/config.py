@@ -101,8 +101,6 @@ class ExperimentConfig:
     shift_fraction: float = 0.4
     pivot_slot: int = 3
     truthful_T: int = 4_000
-    # privacy
-    target_epsilon: float = 0.0  # 0 disables calibration
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -138,7 +136,6 @@ _SECTIONS = {
     "schedules": ("preset",) + _SCHEDULE_FIELDS + ("noise_enabled", "x0_policy"),
     "robustness": ("baseline_lambda",),
     "truthfulness": ("untruthful_agents", "shift_fraction", "pivot_slot", "truthful_T"),
-    "privacy": ("target_epsilon",),
 }
 
 
@@ -251,3 +248,9 @@ def build_problem(cfg: ExperimentConfig) -> AggregativeProblem:
     if cfg.problem == "ev":
         return ev_problem(desk_ev_spec(cfg.m))
     return synthetic_problem(cfg.problem, cfg.m, cfg.n, cfg.d, cfg.problem_seed)
+
+
+def build_instance(cfg: ExperimentConfig) -> tuple[AggregativeProblem, WeightMatrix, ScheduleSet]:
+    """The problem, network and schedules every run of ``cfg`` shares."""
+    problem = build_problem(cfg)
+    return problem, build_network(cfg), build_schedules(cfg, dim=problem.d)

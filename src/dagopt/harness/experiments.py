@@ -1,9 +1,11 @@
 """The three experiment families (convergence, noise-robustness,
 truthfulness) plus deterministic output emission.
 
-Seeds run as independent jobs (optionally across a process pool) and are
-folded in seed order, so results are byte-identical regardless of worker
-count.
+Each experiment splits its seeds into ``workers`` contiguous chunks.  A
+chunk builds its problem, network and schedules once and runs its seeds on
+them in order; several chunks run in separate processes, since problems hold
+closures and do not pickle.  Per-seed results are folded in seed order, so
+the outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, replace
 
@@ -19,9 +22,17 @@ import numpy as np
 from .. import engine, privacy
 from ..engine import CSV_COLUMNS, MetricsRecord
 from ..errors import DagoptError
-from ..problems import F_value, OracleSolution, centralized_oracle, desk_ev_spec, ev_problem
+from ..problems import F_value, centralized_oracle, desk_ev_spec, ev_problem
 from ..problems.ev import EVChargingSpec
-from .config import ExperimentConfig, build_network, build_problem, build_schedules, config_to_text, manifest_hash
+from .config import (
+    ExperimentConfig,
+    build_instance,
+    build_network,
+    build_problem,
+    build_schedules,
+    config_to_text,
+    manifest_hash,
+)
 from .svgplot import Series, line_plot
 
 _TINY = 1e-18
@@ -32,43 +43,49 @@ _TINY = 1e-18
 # ---------------------------------------------------------------------------
 
 
-def _map_seeds(job, args_list, workers: int):
-    """Run one job per seed, returning results in input (seed) order
-    regardless of completion order or worker count."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [job(a) for a in args_list]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, args_list))
+def _map_seeds(job, cfg: ExperimentConfig, *args) -> list:
+    """Run ``job(cfg, seeds, *args)`` on contiguous chunks of ``cfg.seeds``,
+    one chunk per worker (in-process for a single chunk), and return the
+    per-seed results in seed order."""
+    seeds = list(cfg.seeds)
+    n = min(cfg.workers, len(seeds))
+    if n <= 1:
+        return job(cfg, seeds, *args)
+    bounds = [len(seeds) * k // n for k in range(n + 1)]
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
+        futures = [pool.submit(job, cfg, seeds[lo:hi], *args) for lo, hi in zip(bounds, bounds[1:])]
+        return [res for fut in futures for res in fut.result()]
 
 
-def _single_run(cfg: ExperimentConfig, seed: int, oracle: OracleSolution | None, stepper: str = "alg1",
-                noise_enabled: bool | None = None, T: int | None = None):
-    problem = build_problem(cfg)
-    W = build_network(cfg)
-    schedules = build_schedules(cfg, dim=problem.d)
-    state = engine.init_run(
-        problem, W, schedules, seed,
-        x0_policy=cfg.x0_policy,
-        noise_enabled=cfg.noise_enabled if noise_enabled is None else noise_enabled,
-    )
-    result = engine.run(
-        state, cfg.T if T is None else T, stride=cfg.stride, oracle=oracle,
-        stepper=stepper, baseline_lambda=cfg.baseline_lambda,
-    )
-    return result
+def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, stepper: str,
+         noise_enabled: bool, **run_kwargs) -> engine.RunResult:
+    """One integrator run of ``seed`` on a prebuilt instance."""
+    state = engine.init_run(problem, W, schedules, seed, x0_policy=cfg.x0_policy, noise_enabled=noise_enabled)
+    return engine.run(state, T, stepper=stepper, baseline_lambda=cfg.baseline_lambda, **run_kwargs)
 
 
-def _convergence_job(args):
-    cfg, seed, oracle = args
-    result = _single_run(cfg, seed, oracle)
-    return seed, result.records, result.diverged_at, result.weighted_avg_gap, result.weighted_avg_grad
+def _convergence_job(cfg: ExperimentConfig, seeds: list[int], oracle):
+    problem, W, schedules = build_instance(cfg)
+    out = []
+    for seed in seeds:
+        res = _run(problem, W, schedules, cfg, seed, cfg.T, "alg1", cfg.noise_enabled,
+                   stride=cfg.stride, oracle=oracle)
+        out.append((seed, res.records, res.diverged_at, res.weighted_avg_gap, res.weighted_avg_grad))
+    return out
 
 
-def _robustness_job(args):
-    cfg, seed, oracle = args
-    alg1 = _single_run(cfg, seed, oracle, stepper="alg1")
-    base = _single_run(cfg, seed, oracle, stepper="baseline")
-    return seed, alg1.records, alg1.diverged_at, base.records, base.diverged_at
+def _robustness_job(cfg: ExperimentConfig, seeds: list[int], oracle):
+    problem, W, schedules = build_instance(cfg)
+    out = []
+    for seed in seeds:
+        alg1, base = (
+            _run(problem, W, schedules, cfg, seed, cfg.T, stepper, cfg.noise_enabled,
+                 stride=cfg.stride, oracle=oracle)
+            for stepper in ("alg1", "baseline")
+        )
+        out.append((seed, alg1.records, alg1.diverged_at, base.records, base.diverged_at))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +140,10 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     gradient norm."""
     use_oracle = cfg.problem != "nonconvex"
     oracle = centralized_oracle(build_problem(cfg)) if use_oracle else None
-    jobs = [(cfg, s, oracle) for s in cfg.seeds]
     per_seed: dict[int, list[MetricsRecord]] = {}
     diverged = []
     wgaps, wgrads, finals = [], [], {}
-    for seed, records, div_at, wgap, wgrad in _map_seeds(_convergence_job, jobs, cfg.workers):
+    for seed, records, div_at, wgap, wgrad in _map_seeds(_convergence_job, cfg, oracle):
         per_seed[seed] = records
         if div_at is not None:
             diverged.append(seed)
@@ -191,10 +207,9 @@ def run_robustness_experiment(cfg: ExperimentConfig, t_ref: int = 10, ratio_thre
     each curve gets a divergence verdict (hard divergence, or terminal error
     more than ``ratio_threshold`` times the early error)."""
     oracle = centralized_oracle(build_problem(cfg))
-    jobs = [(cfg, s, oracle) for s in cfg.seeds]
     per_seed, verdicts = {}, {}
     base_flagged, alg1_flagged = [], []
-    for seed, a_recs, a_div, b_recs, b_div in _map_seeds(_robustness_job, jobs, cfg.workers):
+    for seed, a_recs, a_div, b_recs, b_div in _map_seeds(_robustness_job, cfg, oracle):
         per_seed[seed] = (a_recs, b_recs)
         va = _verdict(a_recs, a_div, t_ref, ratio_threshold)
         vb = _verdict(b_recs, b_div, t_ref, ratio_threshold)
@@ -270,12 +285,11 @@ def _liar_schedule(prices: np.ndarray, x_max: np.ndarray, energy: float, window:
     return sched
 
 
-def _truthfulness_job(args):
-    cfg, scenario, seed = args
+def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], scenario: AdjacentScenario):
     true_spec = desk_ev_spec(cfg.m)
-    fake_spec = perturb_spec(true_spec, scenario)
     true_problem = ev_problem(true_spec)
     psi_cap = true_problem.meta["psi_cap"]
+    fake_problem = ev_problem(perturb_spec(true_spec, scenario), psi_cap=psi_cap)
     W = build_network(cfg)
     schedules = build_schedules(cfg, dim=true_problem.d)
     T = cfg.truthful_T
@@ -288,23 +302,11 @@ def _truthfulness_job(args):
         r = np.clip(psi, 0.0, psi_cap)
         return true_spec.price_coeff * r**true_spec.price_exp
 
-    def run_case(spec, family: str):
-        problem = ev_problem(spec, psi_cap=psi_cap)
-        state = engine.init_run(problem, W, schedules, seed,
-                                x0_policy=cfg.x0_policy,
-                                noise_enabled=(family == "alg1"))
-        engine.run(state, T, stride=max(T, 1),
-                   stepper=("alg1" if family == "alg1" else "baseline"),
-                   baseline_lambda=cfg.baseline_lambda, track_weighted=False)
-        x_T = state.x.copy()
-        psi_mean = state.psi.mean(axis=0)
-        return x_T, psi_mean
-
-    def evaluate(x_T, psi_mean):
+    def evaluate(final_state):
         # liars disregard their computed schedule and charge greedily in the
         # post-pivot window at the prices the run predicts
-        prices_pred = price_of(psi_mean)
-        x_eval = x_T.copy()
+        prices_pred = price_of(final_state.psi.mean(axis=0))
+        x_eval = final_state.x.copy()
         for i in scenario.agents:
             x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
         # realized prices come from actual schedules and TRUE demands
@@ -313,14 +315,19 @@ def _truthfulness_job(args):
         cost = sum(true_problem.eval_f_all(x_eval, psi_eval)[list(scenario.agents)])
         return float(cost), F_value(true_problem, x_eval)
 
-    out = {}
-    for family in ("alg1", "naive"):
-        cost_p, F_p = evaluate(*run_case(true_spec, family))
-        cost_q, F_q = evaluate(*run_case(fake_spec, family))
-        out[family] = (cost_p - cost_q, F_q - F_p)
-    gain_alg1, inflation = out["alg1"]
-    gain_naive, _ = out["naive"]
-    return seed, gain_alg1, gain_naive, inflation
+    out = []
+    for seed in seeds:
+        gains = {}
+        for stepper, noise_enabled in (("alg1", True), ("baseline", False)):
+            (cost_p, F_p), (cost_q, F_q) = (
+                evaluate(_run(problem, W, schedules, cfg, seed, T, stepper, noise_enabled,
+                              stride=max(T, 1), track_weighted=False).final_state)
+                for problem in (true_problem, fake_problem)
+            )
+            gains[stepper] = (cost_p - cost_q, F_q - F_p)
+        gain_alg1, inflation = gains["alg1"]
+        out.append((seed, gain_alg1, gains["baseline"][0], inflation))
+    return out
 
 
 @dataclass(frozen=True)
@@ -346,10 +353,9 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
     report = privacy.epsilon(cfg.truthful_T, schedules, W)
     c = true_problem.constants
     eta_rep = privacy.eta(report.epsilon, c.L_f1, c.L_f2, c.L_g, c.D_X, c.D_f)
-    jobs = [(cfg, scenario, s) for s in cfg.seeds]
     rows = []
     violations = []
-    for seed, g_alg1, g_naive, inflation in _map_seeds(_truthfulness_job, jobs, cfg.workers):
+    for seed, g_alg1, g_naive, inflation in _map_seeds(_truthfulness_job, cfg, scenario):
         rows.append((seed, g_alg1, g_naive, eta_rep.eta, inflation))
         if g_alg1 > eta_rep.eta:
             violations.append(seed)

@@ -194,16 +194,6 @@ def sensitivity_psi_recursion(T: int, schedules: ScheduleSet, w_hat: float, forc
     return out
 
 
-def c0_constant(schedules: ScheduleSet, L_f1: float, L_f2: float, L_g: float) -> float:
-    """Forcing constant of the recursion cross-check: c0 = gamma1 L_f1
-    + 2 L_g (1 + gamma1 w1/(w1-1)) L_f2 (needs w1 > 1)."""
-    gamma1 = schedules.gamma1.base
-    w1 = schedules.gamma1.exponent
-    if w1 <= 1:
-        raise RegimeViolation("c0 requires w1 > 1 (summable gamma_{t,1})")
-    return gamma1 * L_f1 + 2.0 * L_g * (1.0 + gamma1 * w1 / (w1 - 1.0)) * L_f2
-
-
 def sensitivity_y(t: int, schedules: ScheduleSet, w_hat: float) -> float:
     """Closed-form bound c2 gamma_{t,1} on the gradient-tracker sensitivity."""
     c2 = c2_constant(schedules, w_hat)
@@ -225,25 +215,13 @@ def sensitivity_y_recursion(T: int, schedules: ScheduleSet, w_hat: float, forcin
 
 @dataclass(frozen=True)
 class PrivacyReport:
-    T: int | None  # None = infinite-horizon sentinel
     epsilon: float
     eps_psi: float  # contribution of the aggregate-tracker mechanism
     eps_y: float  # contribution of the gradient-tracker mechanism
-    c1: float
-    c2: float
-    w_hat: float
-    limiting_agents: tuple[int, int]  # argmin sigma bases (xi, zeta)
-    eta: float | None = None
-    eta_intrinsic: float | None = None
-    eta_privacy: float | None = None
-    linearization_exceeded: bool = False
-    regime: RegimeConditions | None = None
 
 
-def _min_base(profiles):
-    bases = [p.base for p in profiles]
-    idx = int(np.argmin(bases))
-    return bases[idx], idx
+def _min_base(profiles) -> float:
+    return min(p.base for p in profiles)
 
 
 def _series_exponents(schedules: ScheduleSet):
@@ -269,8 +247,8 @@ def epsilon(
         raise RegimeViolation("infinite-horizon budget requires both series exponents > 1")
     c1 = c1_constant(schedules, w_hat)
     c2 = c2_constant(schedules, w_hat)
-    sig_xi, ag_xi = _min_base(schedules.noise.profiles(1))
-    sig_zeta, ag_zeta = _min_base(schedules.noise.profiles(0))
+    sig_xi = _min_base(schedules.noise.profiles(1))
+    sig_zeta = _min_base(schedules.noise.profiles(0))
     A_psi = math.sqrt(2.0) * c1 * schedules.lam.base / (sig_xi * schedules.gamma1.base * schedules.gamma2.base)
     A_y = math.sqrt(2.0) * c2 * schedules.gamma1.base / sig_zeta
 
@@ -283,17 +261,7 @@ def epsilon(
 
         eps_psi = A_psi * float(hurwitz_zeta(p_psi, 2.0))
         eps_y = A_y * float(hurwitz_zeta(p_y, 2.0))
-    return PrivacyReport(
-        T=T,
-        epsilon=eps_psi + eps_y,
-        eps_psi=eps_psi,
-        eps_y=eps_y,
-        c1=c1,
-        c2=c2,
-        w_hat=w_hat,
-        limiting_agents=(ag_xi, ag_zeta),
-        regime=regime,
-    )
+    return PrivacyReport(epsilon=eps_psi + eps_y, eps_psi=eps_psi, eps_y=eps_y)
 
 
 @dataclass(frozen=True)

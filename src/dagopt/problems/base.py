@@ -32,20 +32,15 @@ import numpy as np
 class ProblemConstants:
     """Assumption-level constants over the compact feasible region.
 
-    L_* are gradient bounds, Lbar_* gradient-Lipschitz moduli, mu the strong
-    convexity modulus of F (0 if none), D_X the Euclidean diameter bound of
-    X, D_f the max |f_i| over X, D_g the max ||g_i|| over X."""
+    L_* are gradient bounds, mu the strong convexity modulus of F (0 if
+    none), D_X the Euclidean diameter bound of X, D_f the max |f_i| over X."""
 
     L_f1: float
     L_f2: float
-    Lbar_f1: float
-    Lbar_f2: float
     L_g: float
-    Lbar_g: float
     mu: float
     D_X: float
     D_f: float
-    D_g: float
 
 
 @dataclass

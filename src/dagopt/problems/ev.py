@@ -18,10 +18,7 @@ needs.  Lipschitz constants are computed in closed form on that box, with a
     L_f1  = 1.1 * sqrt(K) * 0.15 * cap^1.5            (||grad1|| = ||p(psi)||)
     L_f2  = 1.1 * 0.225 * sqrt(cap) * max_i ||x_max^i + d^i||
     L_g   = 1.1 * m / C_tot                            (operator norm of grad g)
-    Lbar_f1 = 1.1 * 0.225 * sqrt(cap)                  (p is Lipschitz in psi)
-    Lbar_f2 = 1.1 * (0.225 sqrt(cap) + 0.1125/sqrt(psi_min) * max_i |x+d|_inf * sqrt(K))
-              on psi >= psi_min (base-demand floor; d/dpsi of sqrt is unbounded at 0)
-    D_X   = sqrt(sum_i ||x_max^i||^2), D_f / D_g at the max-load corner.
+    D_X   = sqrt(sum_i ||x_max^i||^2), D_f at the max-load corner.
 """
 
 from __future__ import annotations
@@ -171,26 +168,15 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
     xd_norms = np.linalg.norm(xd_max, axis=1)
     L_f2 = margin * dcoeff * math.sqrt(cap) * float(xd_norms.max())
     L_g = margin * scale
-    Lbar_f1 = margin * dcoeff * math.sqrt(cap)
-    psi_min = float((spec.d.sum(axis=0) / spec.C_tot).min())
-    Lbar_f2 = margin * (
-        dcoeff * math.sqrt(cap)
-        + 0.5 * dcoeff / math.sqrt(max(psi_min, 1e-12)) * float(np.abs(xd_max).max()) * math.sqrt(K)
-    )
     D_X = float(np.sqrt((spec.x_max**2).sum()))
     D_f = margin * float((price(psi_hi) @ xd_max.T).max())
-    D_g = margin * scale * float(xd_norms.max())
     constants = ProblemConstants(
         L_f1=L_f1,
         L_f2=L_f2,
-        Lbar_f1=Lbar_f1,
-        Lbar_f2=Lbar_f2,
         L_g=L_g,
-        Lbar_g=0.0,
         mu=0.0,
         D_X=D_X,
         D_f=D_f,
-        D_g=D_g,
     )
     return AggregativeProblem(
         m=m,
@@ -208,5 +194,5 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
         project_all=project_all,
         interior_check=interior_check,
         interior_sampler=interior_sampler,
-        meta={"spec": spec, "psi_cap": cap, "psi_min": psi_min},
+        meta={"spec": spec, "psi_cap": cap},
     )

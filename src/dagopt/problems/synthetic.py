@@ -95,29 +95,22 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
     L_f2 = float(np.linalg.norm(psi_corner, axis=1).max())
     op_norms = np.array([np.linalg.norm(A[i], 2) for i in range(m)])
     L_g = float(op_norms.max())
-    D_g = float((op_norms * math.sqrt(n) + np.linalg.norm(c, axis=1)).max())
     if kind == "strongly-convex":
         L_f1 = float(np.linalg.norm(corner, axis=1).max())
-        Lbar_f1 = 1.0
         mu = 1.0
         D_f = 0.5 * L_f1**2 + 0.5 * L_f2**2
     else:
         L_f1 = float(np.linalg.norm(q, axis=1).max()) + kappa * math.sqrt(n)
-        Lbar_f1 = kappa
         mu = 0.0
         D_f = float(np.linalg.norm(q, axis=1).max()) * math.sqrt(n) + 0.5 * L_f2**2 + kappa * n
 
     constants = ProblemConstants(
         L_f1=L_f1,
         L_f2=L_f2,
-        Lbar_f1=Lbar_f1,
-        Lbar_f2=1.0,
         L_g=L_g,
-        Lbar_g=0.0,
         mu=mu,
         D_X=2.0 * math.sqrt(m * n),
         D_f=D_f,
-        D_g=D_g,
     )
     prob = AggregativeProblem(
         m=m,

@@ -6,8 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from dagopt.errors import DagoptError
-from dagopt.harness import cli
+from dagopt.errors import ConfigError, DagoptError
+from dagopt.harness import cli, config
 from dagopt.harness.config import (
     apply_preset,
     build_network,
@@ -24,6 +24,7 @@ from dagopt.harness.experiments import (
     fit_loglog_slope,
     perturb_spec,
     run_convergence_experiment,
+    run_robustness_experiment,
     run_truthfulness_experiment,
 )
 from dagopt.harness.svgplot import Series, line_plot
@@ -42,6 +43,11 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(DagoptError):
             parse_config("[nonsense]\nT = 5\n")
+
+    def test_privacy_section_rejected(self):
+        # there is no privacy knob: a target epsilon must not be accepted and ignored
+        with pytest.raises(ConfigError):
+            parse_config("[privacy]\ntarget_epsilon = 1.0\n")
 
     @pytest.mark.parametrize(
         "preset", ["corollary1-sc", "corollary1-cvx", "corollary1-ncvx", "sec5-convergence", "sec5-truthful"]
@@ -135,6 +141,58 @@ class TestTruthfulnessPlumbing:
             assert gain_alg1 == 0.0
             assert gain_naive == 0.0
             assert inflation == 0.0
+
+
+def _run_kind(cfg):
+    if cfg.kind == "convergence":
+        return run_convergence_experiment(cfg)
+    if cfg.kind == "robustness":
+        return run_robustness_experiment(cfg)
+    scenario = AdjacentScenario(agents=cfg.untruthful_agents, shift_fraction=cfg.shift_fraction,
+                                pivot_slot=cfg.pivot_slot)
+    return run_truthfulness_experiment(cfg, scenario)
+
+
+_SMALL = {
+    "convergence": "[experiment]\nkind = convergence\nT = 20\n[problem]\nproblem = strongly-convex\nm = 6\n",
+    "robustness": "[experiment]\nkind = robustness\nT = 100\n[schedules]\npreset = sec5-truthful\n",
+    "truthfulness": "[experiment]\nkind = truthfulness\n[schedules]\npreset = sec5-truthful\n"
+                    "[truthfulness]\ntruthful_T = 60\n",
+}
+
+
+class TestSeedChunks:
+    @pytest.mark.parametrize("kind,most", [("convergence", 1), ("robustness", 1), ("truthfulness", 2)])
+    def test_network_built_once_per_experiment(self, monkeypatch, kind, most):
+        calls = []
+        build = config.build_weight_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(config, "build_weight_matrix", counted)
+        cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2), workers=1)
+        _run_kind(cfg)
+        assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("kind", ["robustness", "truthfulness"])
+    def test_outputs_identical_across_worker_counts(self, tmp_path, kind):
+        # 5 seeds over 2 workers gives uneven chunks (2 + 3)
+        cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2, 3, 4))
+        outputs = {}
+        for workers in (1, 2, 5):
+            out = tmp_path / str(workers)
+            emit_outputs(_run_kind(dataclasses.replace(cfg, workers=workers)), out)
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            # the manifest also holds the per-seed verdicts; only its config
+            # hash and worker count may differ
+            manifest = files.pop("manifest.txt").decode().splitlines()
+            files["manifest.txt"] = [l for l in manifest if not l.startswith(("config_hash =", "workers ="))]
+            outputs[workers] = files
+        assert len(outputs[1]) >= 2
+        assert outputs[2] == outputs[1]
+        assert outputs[5] == outputs[1]
 
 
 class TestEmission:
