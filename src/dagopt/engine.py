@@ -11,8 +11,10 @@ One round at iteration t performs, with barriers between the three phases:
                         + g_i(x^i_{t+1}) - (1 - alpha_t) g_i(x^i_t)
 
 Broadcast noise semantics: the sender draws one noise vector per iteration
-and every receiver sees the same obscured value, so there is exactly one
-zeta (and one xi) draw per (agent, iteration), keyed deterministically.
+and every receiver sees the same obscured value.  Each iteration makes one
+keyed zeta draw and one keyed xi draw holding every sender's vector (row j is
+sender j), keyed by (seed, iteration, tag) with seeds in [0, 2^64) and
+iterations below 2^62, for any number of agents.
 
 The conventional gradient-tracking baseline (step_baseline) mixes with
 A = I + W, feeds y directly into the decision update, uses a constant
@@ -121,15 +123,12 @@ def init_run(
 
 
 def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
-    """One broadcast noise vector per sender, stacked (m, d)."""
-    prob, sched = state.problem, state.schedules
-    out = np.zeros((prob.m, prob.d))
+    """Every sender's broadcast noise vector at iteration t, stacked (m, d)."""
+    prob, noise = state.problem, state.schedules.noise
     if not state.noise_enabled:
-        return out
-    for j in range(prob.m):
-        profile = sched.noise.zeta_profile(j) if tag == TAG_ZETA else sched.noise.xi_profile(j)
-        out[j] = noise_vector(state.seed, j, t, tag, profile.value(t), prob.d, enabled=True)
-    return out
+        return np.zeros((prob.m, prob.d))
+    profile = noise.zeta if tag == TAG_ZETA else noise.xi
+    return noise_vector(state.seed, t, tag, profile.value(t), prob.m, prob.d)
 
 
 def _project_ball(points: np.ndarray, radius: float) -> np.ndarray:

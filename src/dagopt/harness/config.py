@@ -22,6 +22,7 @@ from ..network import (
     ring_topology,
 )
 from ..problems import AggregativeProblem, desk_ev_spec, ev_problem, synthetic_problem
+from ..problems.ev import K_SLOTS
 from ..schedules import DecayProfile, NoiseSchedule, ScheduleSet
 
 # Named schedule presets:
@@ -104,17 +105,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {EXPERIMENT_KINDS}")
         if self.problem not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.problem!r}")
+            raise ConfigError(f"unknown problem kind {self.problem!r}; choose from {PROBLEM_KINDS}")
         if self.topology not in TOPOLOGY_KINDS:
-            raise ValueError(f"unknown topology kind {self.topology!r}")
+            raise ConfigError(f"unknown topology kind {self.topology!r}; choose from {TOPOLOGY_KINDS}")
         if self.preset and self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         if self.T < 0 or self.stride <= 0:
-            raise ValueError("T must be >= 0 and stride >= 1")
+            raise ConfigError("T must be >= 0 and stride >= 1")
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise ConfigError("at least one seed is required")
+        # inputs a run would ignore: the EV instance always has K_SLOTS hourly
+        # slots, and the truthfulness experiment always runs the EV instance
+        if self.problem == "ev" and (self.n, self.d) != (K_SLOTS, K_SLOTS):
+            raise ConfigError(f"problem = ev has {K_SLOTS} hourly slots: n = d = {K_SLOTS}, got {self.n}, {self.d}")
+        if self.kind == "truthfulness" and self.problem != "ev":
+            raise ConfigError(f"kind = truthfulness runs the EV instance: problem must be ev, got {self.problem!r}")
 
 
 def default_config() -> ExperimentConfig:
@@ -160,6 +167,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
 def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.replace(" ", "").split(",") if x != "")
 
@@ -171,10 +181,13 @@ def parse_config(text_or_path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keys are case-sensitive (e.g. T vs t)
     text = text_or_path
-    if "\n" not in str(text_or_path) and "=" not in str(text_or_path):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    cp.read_string(text)
+    try:
+        if "\n" not in str(text_or_path) and "=" not in str(text_or_path):
+            with open(text_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        cp.read_string(text)
+    except (OSError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
 
     key_to_section = {k: s for s, keys in _SECTIONS.items() for k in keys}
     raw: dict[str, str] = {}
@@ -194,16 +207,19 @@ def parse_config(text_or_path) -> ExperimentConfig:
     kwargs = {}
     for k, v in raw.items():
         current = getattr(cfg, k)
-        if isinstance(current, bool):
-            kwargs[k] = v.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, tuple):
-            kwargs[k] = _parse_int_tuple(v)
-        elif isinstance(current, int):
-            kwargs[k] = int(float(v)) if ("e" in v or "." in v) else int(v)
-        elif isinstance(current, float):
-            kwargs[k] = float(v)
-        else:
-            kwargs[k] = v.strip()
+        try:
+            if isinstance(current, bool):
+                kwargs[k] = _BOOLS[v.strip().lower()]
+            elif isinstance(current, tuple):
+                kwargs[k] = _parse_int_tuple(v)
+            elif isinstance(current, int):
+                kwargs[k] = int(float(v)) if ("e" in v or "." in v) else int(v)
+            elif isinstance(current, float):
+                kwargs[k] = float(v)
+            else:
+                kwargs[k] = v.strip()
+        except (ValueError, KeyError):
+            raise ConfigError(f"{k} = {v!r} is not a valid {type(current).__name__}") from None
     return replace(cfg, **kwargs)
 
 

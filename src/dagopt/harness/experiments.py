@@ -235,12 +235,11 @@ def run_robustness_experiment(cfg: ExperimentConfig, t_ref: int = 10, ratio_thre
 @dataclass(frozen=True)
 class AdjacentScenario:
     """A pair (P, P') of problem instances differing only in the demand
-    entries of the listed agents, plus the shared randomness seed."""
+    entries of the listed agents."""
 
     agents: tuple[int, ...]
     shift_fraction: float = 0.4
     pivot_slot: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if not self.agents:

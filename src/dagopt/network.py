@@ -25,7 +25,6 @@ class Topology:
 
     m: int
     edges: tuple[tuple[int, int], ...]  # sorted (i, j) with i < j
-    descriptor: str = "explicit"
 
     def __post_init__(self):
         for i, j in self.edges:
@@ -97,12 +96,12 @@ def ring_topology(m: int) -> Topology:
     if m < 3:
         raise ValueError("ring needs m >= 3")
     edges = tuple(sorted((i, (i + 1) % m) if i < (i + 1) % m else ((i + 1) % m, i) for i in range(m)))
-    return Topology(m, edges, "ring")
+    return Topology(m, edges)
 
 
 def complete_topology(m: int) -> Topology:
     edges = tuple((i, j) for i in range(m) for j in range(i + 1, m))
-    return Topology(m, edges, "complete")
+    return Topology(m, edges)
 
 
 def generate_k_regular(m: int, k: int, seed: int) -> Topology:
@@ -133,7 +132,7 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
             edges.add(e)
         if not ok:
             continue
-        top = Topology(m, tuple(sorted(edges)), f"{k}-regular")
+        top = Topology(m, tuple(sorted(edges)))
         if top.is_connected():
             return top
     raise InfeasibleDegree(f"could not generate a simple connected {k}-regular graph on {m} vertices")
@@ -243,4 +242,4 @@ def load_edgelist(path) -> Topology:
         raise ValueError("empty edge list")
     if m is None:
         m = max(max(e) for e in edges) + 1
-    return Topology(m, tuple(sorted(set(edges))), "explicit")
+    return Topology(m, tuple(sorted(set(edges))))

@@ -2,10 +2,13 @@
 
 The cumulative budget over T iterations is
 
-    eps(T) = sum_{t=1}^{T} [ sqrt(2) c1 lambda0 / (min_i sigma_xi^i  gamma1 gamma2 (t+1)^{u-w1-w2-max_i varsigma_xi})
-                           + sqrt(2) c2 gamma1  / (min_i sigma_zeta^i          (t+1)^{w1-max_i varsigma_zeta}) ]
+    eps(T) = sum_{t=1}^{T} [ sqrt(2) c1 lambda0 / (sigma_xi  gamma1 gamma2 (t+1)^{u-w1-w2-varsigma_xi})
+                           + sqrt(2) c2 gamma1  / (sigma_zeta               (t+1)^{w1-varsigma_zeta}) ]
 
-with c1 = w_hat*gamma2 / (w_hat*gamma2 - (u - w1 - w2)) and
+where every agent shares the noise profiles (sigma_xi, varsigma_xi) and
+(sigma_zeta, varsigma_zeta), so the paper's min over agents of the noise
+base and max over agents of the noise exponent are these values themselves.
+Here c1 = w_hat*gamma2 / (w_hat*gamma2 - (u - w1 - w2)) and
 c2 = (4 w1 / (e ln(2/(2 - w_hat))))^{w1} * 2/w_hat, where w_hat = min_i |w_ii|.
 Both series converge because the truthful regime forces both exponents > 1.
 
@@ -65,17 +68,15 @@ def _exponents(schedules: ScheduleSet):
     v = schedules.alpha.exponent
     w1 = schedules.gamma1.exponent
     w2 = schedules.gamma2.exponent
-    zeta_exps = [p.exponent for p in schedules.noise.profiles(0)]
-    xi_exps = [p.exponent for p in schedules.noise.profiles(1)]
-    # varsigma = min over agents, hat-varsigma = max over agents
-    return u, v, w1, w2, min(zeta_exps), min(xi_exps), max(zeta_exps), max(xi_exps)
+    # every agent shares one profile, so varsigma and hat-varsigma coincide
+    return u, v, w1, w2, schedules.noise.zeta.exponent, schedules.noise.xi.exponent
 
 
 def check_regime(schedules: ScheduleSet, regime: str) -> RegimeConditions:
     """Evaluate the selected regime's parameter inequalities, itemized."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    u, v, w1, w2, s_z, s_x, sh_z, sh_x = _exponents(schedules)
+    u, v, w1, w2, s_z, s_x = _exponents(schedules)
     C = InequalityCheck
     checks: list[InequalityCheck] = []
     if regime == "T1-strongly-convex":
@@ -88,8 +89,8 @@ def check_regime(schedules: ScheduleSet, regime: str) -> RegimeConditions:
             C("1 > w2", 1.0, w2),
             C("varsigma_zeta > max{w1, w2/2}", s_z, max(w1, w2 / 2.0)),
             C("varsigma_xi > v/2 - w2", s_x, v / 2.0 - w2),
-            C("1 > varsigma_zeta", 1.0, sh_z),
-            C("1 > varsigma_xi", 1.0, sh_x),
+            C("1 > varsigma_zeta", 1.0, s_z),
+            C("1 > varsigma_xi", 1.0, s_x),
         ]
     elif regime == "T1-convex":
         checks = [
@@ -101,8 +102,8 @@ def check_regime(schedules: ScheduleSet, regime: str) -> RegimeConditions:
             C("1 > w2", 1.0, w2),
             C("varsigma_zeta > 1 - u + max{w1, w2/2}", s_z, 1.0 - u + max(w1, w2 / 2.0)),
             C("varsigma_xi > 1 - u + v/2 - w2", s_x, 1.0 - u + v / 2.0 - w2),
-            C("1 > varsigma_zeta", 1.0, sh_z),
-            C("1 > varsigma_xi", 1.0, sh_x),
+            C("1 > varsigma_zeta", 1.0, s_z),
+            C("1 > varsigma_xi", 1.0, s_x),
         ]
     elif regime == "T1-nonconvex":
         checks = [
@@ -114,36 +115,36 @@ def check_regime(schedules: ScheduleSet, regime: str) -> RegimeConditions:
             C("1 > w2", 1.0, w2),
             C("varsigma_zeta > (1-u)/2 + max{w1, w2/2}", s_z, (1.0 - u) / 2.0 + max(w1, w2 / 2.0)),
             C("varsigma_xi > (1-u)/2 + v/2 - w2", s_x, (1.0 - u) / 2.0 + v / 2.0 - w2),
-            C("1 > varsigma_zeta", 1.0, sh_z),
-            C("1 > varsigma_xi", 1.0, sh_x),
+            C("1 > varsigma_zeta", 1.0, s_z),
+            C("1 > varsigma_xi", 1.0, s_x),
         ]
     else:
         # all truthful regimes start from the T2 conditions
         checks = [
-            C("u > w1 + w2 + hat-varsigma_xi + 1", u, w1 + w2 + sh_x + 1.0),
+            C("u > w1 + w2 + hat-varsigma_xi + 1", u, w1 + w2 + s_x + 1.0),
             C("v > u - w1", v, u - w1),
-            C("w1 > 1 + hat-varsigma_zeta", w1, 1.0 + sh_z),
+            C("w1 > 1 + hat-varsigma_zeta", w1, 1.0 + s_z),
             C("1 > w2", 1.0, w2),
         ]
         if regime == "T3-sc":
             checks += [
                 C("v > 1", v, 1.0),
                 C("varsigma_zeta > max{0, (1-u)/2 + w1}", s_z, max(0.0, (1.0 - u) / 2.0 + w1)),
-                C("1 > varsigma_xi", 1.0, sh_x),
+                C("1 > varsigma_xi", 1.0, s_x),
                 C("varsigma_xi > max{-w2/2, 1/2 - w2}", s_x, max(-w2 / 2.0, 0.5 - w2)),
             ]
         elif regime == "T3-convex":
             checks += [
                 C("v > 1", v, 1.0),
                 C("varsigma_zeta > max{0, 1 - u + w1}", s_z, max(0.0, 1.0 - u + w1)),
-                C("1 > varsigma_xi", 1.0, sh_x),
+                C("1 > varsigma_xi", 1.0, s_x),
                 C("varsigma_xi > max{-w2/2, 1/2 - w2}", s_x, max(-w2 / 2.0, 0.5 - w2)),
             ]
         elif regime == "T3-nonconvex":
             checks += [
                 C("v > max{1, u - w1}", v, max(1.0, u - w1)),
                 C("varsigma_zeta > max{0, (1-u)/2 + w1}", s_z, max(0.0, (1.0 - u) / 2.0 + w1)),
-                C("1 > varsigma_xi", 1.0, sh_x),
+                C("1 > varsigma_xi", 1.0, s_x),
                 C("varsigma_xi > max{-w2/2, 1/2 - w2}", s_x, max(-w2 / 2.0, 0.5 - w2)),
             ]
     return RegimeConditions(regime=regime, checks=tuple(checks))
@@ -220,13 +221,9 @@ class PrivacyReport:
     eps_y: float  # contribution of the gradient-tracker mechanism
 
 
-def _min_base(profiles) -> float:
-    return min(p.base for p in profiles)
-
-
 def _series_exponents(schedules: ScheduleSet):
-    u, _, w1, w2, _, _, sh_z, sh_x = _exponents(schedules)
-    return u - w1 - w2 - sh_x, w1 - sh_z  # psi-mechanism, y-mechanism
+    u, _, w1, w2, s_z, s_x = _exponents(schedules)
+    return u - w1 - w2 - s_x, w1 - s_z  # psi-mechanism, y-mechanism
 
 
 def epsilon(
@@ -247,8 +244,8 @@ def epsilon(
         raise RegimeViolation("infinite-horizon budget requires both series exponents > 1")
     c1 = c1_constant(schedules, w_hat)
     c2 = c2_constant(schedules, w_hat)
-    sig_xi = _min_base(schedules.noise.profiles(1))
-    sig_zeta = _min_base(schedules.noise.profiles(0))
+    sig_xi = schedules.noise.xi.base
+    sig_zeta = schedules.noise.zeta.base
     A_psi = math.sqrt(2.0) * c1 * schedules.lam.base / (sig_xi * schedules.gamma1.base * schedules.gamma2.base)
     A_y = math.sqrt(2.0) * c2 * schedules.gamma1.base / sig_zeta
 
@@ -286,26 +283,19 @@ def eta(eps: float, L_f1: float, L_f2: float, L_g: float, D_X: float, D_f: float
 
 def calibrate_noise(target_epsilon: float, T: int, schedules: ScheduleSet, W: WeightMatrix | float):
     """Noise bases (sigma_xi, sigma_zeta) achieving the target budget at
-    horizon T, splitting it evenly between the two mechanisms:
+    horizon T, splitting it evenly between the two mechanisms.  Each
+    mechanism's budget is inversely proportional to its noise base, so
 
-        sigma_xi   = sum_{t=1}^T 2 sqrt(2) c1 lambda0 / (eps gamma1 gamma2 (t+1)^{u-w1-w2-hat_xi})
-        sigma_zeta = sum_{t=1}^T 2 sqrt(2) c2 gamma1  / (eps (t+1)^{w1-hat_zeta})
+        sigma_xi'   = 2 eps_psi sigma_xi   / target
+        sigma_zeta' = 2 eps_y   sigma_zeta / target
     """
     if not (target_epsilon > 0):
         raise ValueError("target epsilon must be > 0")
-    regime = check_regime(schedules, "T2-truthful")
-    if not regime.passed:
-        raise RegimeViolation("calibration requires a passing T2-truthful regime")
-    w_hat = W.w_hat if isinstance(W, WeightMatrix) else float(W)
-    c1 = c1_constant(schedules, w_hat)
-    c2 = c2_constant(schedules, w_hat)
-    p_psi, p_y = _series_exponents(schedules)
-    S_psi = math.fsum((t + 1.0) ** (-p_psi) for t in range(1, T + 1))
-    S_y = math.fsum((t + 1.0) ** (-p_y) for t in range(1, T + 1))
-    lam0, g1, g2 = schedules.lam.base, schedules.gamma1.base, schedules.gamma2.base
-    sigma_xi = 2.0 * math.sqrt(2.0) * c1 * lam0 * S_psi / (target_epsilon * g1 * g2)
-    sigma_zeta = 2.0 * math.sqrt(2.0) * c2 * g1 * S_y / target_epsilon
-    return sigma_xi, sigma_zeta
+    report = epsilon(T, schedules, W)
+    return (
+        2.0 * report.eps_psi * schedules.noise.xi.base / target_epsilon,
+        2.0 * report.eps_y * schedules.noise.zeta.base / target_epsilon,
+    )
 
 
 # ---------------------------------------------------------------------------

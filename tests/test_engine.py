@@ -13,7 +13,7 @@ from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology
 from dagopt.problems.base import F_grad, F_value
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.synthetic import synthetic_problem
-from dagopt.schedules import TAG_XI, TAG_ZETA, sample_laplace_vector, stream
+from dagopt.schedules import TAG_XI, TAG_ZETA
 
 
 def small_setup(m=6, noise=True, seed=0, problem=None):
@@ -181,20 +181,17 @@ class TestBaseline:
 def reference_rounds(prob, W, sch, seed, T, stepper):
     """The rounds of ``engine.step`` / ``step_baseline`` written out with the
     per-row-loop projection, a fresh off-diagonal copy of W every round and
-    a freshly keyed generator per noise draw; yields (x, y, psi) per round."""
+    a Philox generator keyed seed<<64 | t<<2 | tag built here for each
+    round's noise; yields (x, y, psi) per round."""
     spec = prob.meta["spec"]
 
     def project(points):
         return legacy_project_box_budget_batch(points, spec.x_max, spec.E)
 
     def noise(tag, t):
-        profile = sch.noise.zeta_profile if tag == TAG_ZETA else sch.noise.xi_profile
-        return np.stack(
-            [
-                sample_laplace_vector(profile(j).value(t) / math.sqrt(2.0), prob.d, stream(seed, j, t, tag))
-                for j in range(prob.m)
-            ]
-        )
+        profile = sch.noise.zeta if tag == TAG_ZETA else sch.noise.xi
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (t << 2) | tag))
+        return rng.laplace(scale=profile.value(t) / math.sqrt(2.0), size=(prob.m, prob.d))
 
     x = project(np.zeros((prob.m, prob.n)))
     psi = prob.eval_g_all(x)

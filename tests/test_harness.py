@@ -75,6 +75,27 @@ class TestConfig:
         ):
             assert manifest_hash(changed) != manifest_hash(base)
 
+    @pytest.mark.parametrize("text", ["[experiment]\nkind = bogus\n", "[experiment]\nT = abc\n",
+                                      "[experiment]\nseeds = 0,x\n", "[topology]\nedge_weight = heavy\n",
+                                      "[schedules]\nnoise_enabled = flase\n", "T = 5\n"])
+    def test_bad_values_raise_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+    @pytest.mark.parametrize("problem", ["n = 4\n", "d = 4\n", "n = 4\nd = 4\n"])
+    def test_ev_slot_count_cannot_be_overridden(self, problem):
+        # the EV instance always has 13 hourly slots; another n or d would be
+        # written to the manifest and then ignored
+        with pytest.raises(ConfigError, match="13 hourly slots"):
+            parse_config("[problem]\nproblem = ev\n" + problem)
+
+    @pytest.mark.parametrize("problem", ["strongly-convex", "convex", "nonconvex"])
+    def test_truthfulness_requires_ev(self, problem):
+        # the truthfulness experiment always runs the EV instance; any other
+        # problem would be named in the manifest and then ignored
+        with pytest.raises(ConfigError, match="problem must be ev"):
+            parse_config(f"[experiment]\nkind = truthfulness\n[problem]\nproblem = {problem}\n")
+
     def test_builders_consistent_dimensions(self):
         cfg = default_config()
         prob = build_problem(cfg)
@@ -221,10 +242,10 @@ class TestEmission:
         assert len(rows) == 21
         for col in ("err_x", "gap_F"):
             assert all(row[header.index(col)] == "nan" for row in rows), col
-        # the fitted grad_norm_sq slope does not depend on F*, and keeps the
-        # value it had when the gap was written as F - 0
+        # the fitted grad_norm_sq slope does not depend on F*; pinned to the
+        # noise drawn once per (seed, iteration, tag)
         assert summary.slope_metric == "grad_norm_sq"
-        assert summary.slope == pytest.approx(0.00018724278230013278, rel=1e-9)
+        assert summary.slope == pytest.approx(0.0010695915423382996, rel=1e-9)
 
     def test_repeat_emission_identical_bytes(self, tmp_path):
         cfg = dataclasses.replace(default_config(), T=40, stride=10, seeds=(0,))
@@ -281,6 +302,32 @@ class TestCli:
         # and stderr names the gradient and agent behind it
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("point 0: over threshold at ") and " agent " in err[0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[experiment]\nkind = bogus\n",
+            "[experiment]\nkind = convergence\nT = abc\n",
+            "[experiment]\nkind = truthfulness\n[problem]\nproblem = strongly-convex\n",
+            "[experiment]\nkind = convergence\n[problem]\nproblem = ev\nn = 4\nd = 4\n",
+        ],
+        ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots"],
+    )
+    def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        assert cli.main(["run", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "envout"))
