@@ -153,8 +153,7 @@ def _line4(state: RunState) -> np.ndarray:
     zeta = _draw_noise(state, TAG_ZETA, t)
     shared = _project_ball(state.y + zeta, radius)
     grad2 = state.problem.eval_grad2_all(state.x, state.psi)
-    wdiag = state.W.diag()
-    return (1.0 + wdiag)[:, None] * state.y + state.W.offdiag() @ shared + gamma1_t * grad2
+    return state.W.one_plus_diag * state.y + state.W.offdiag(shared) + gamma1_t * grad2
 
 
 def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) -> np.ndarray:
@@ -164,8 +163,8 @@ def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) 
     multiplications by 1 and subtractions of 0)."""
     xi = _draw_noise(state, TAG_XI, state.t)
     return (
-        (1.0 - alpha_t + gamma2_t * state.W.diag())[:, None] * state.psi
-        + gamma2_t * (state.W.offdiag() @ (state.psi + xi))
+        (1.0 - alpha_t + gamma2_t * state.W.diag) * state.psi
+        + gamma2_t * state.W.offdiag(state.psi + xi)
         + g_new
         - (1.0 - alpha_t) * state.g_cache
     )
@@ -197,8 +196,6 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
     comparisons see identical noise."""
     t = state.t
     prob = state.problem
-    wdiag = state.W.diag()
-    woff = state.W.offdiag()
 
     direction = prob.eval_grad1_all(state.x, state.psi) + prob.apply_grad_g_all(state.x, state.y)
     x_next = prob.eval_project_all(state.x - lam * direction)
@@ -208,7 +205,7 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
 
     zeta = _draw_noise(state, TAG_ZETA, t)
     grad2_new = prob.eval_grad2_all(x_next, psi_next)
-    y_next = (1.0 + wdiag)[:, None] * state.y + woff @ (state.y + zeta) + grad2_new - state.grad2_cache
+    y_next = state.W.one_plus_diag * state.y + state.W.offdiag(state.y + zeta) + grad2_new - state.grad2_cache
 
     _commit(state, x_next, y_next, psi_next, g_new, grad2_new)
     return direction
@@ -216,13 +213,11 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
 
 def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
     if state.diverged_at is None:
-        bad = False
         for arr in (x_next, y_next, psi_next):
-            if not np.all(np.isfinite(arr)) or np.abs(arr).max() > DIVERGENCE_THRESHOLD:
-                bad = True
+            # NaN propagates through max and fails the comparison, as inf does
+            if not (np.abs(arr).max() <= DIVERGENCE_THRESHOLD):
+                state.diverged_at = state.t + 1
                 break
-        if bad:
-            state.diverged_at = state.t + 1
     state.x = x_next
     state.y = y_next
     state.psi = psi_next

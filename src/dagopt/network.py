@@ -5,6 +5,10 @@ and w_ii = -sum_{j in N_i} w_ij, so both row and column sums vanish and
 I + W is doubly stochastic whenever edge_weight * max_degree <= 1.  Its
 eigenvalues must satisfy -1 < delta_m <= ... <= delta_2 < delta_1 = 0 with
 a simple zero eigenvalue (connected network).
+
+Mixing costs O(edges): each agent combines only its neighbours' rows,
+through a neighbour table built once per matrix.  The spectral certificate
+is still computed from the dense m x m matrix.
 """
 
 from __future__ import annotations
@@ -65,31 +69,49 @@ class Topology:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Dense m x m mixing matrix with its spectral certificate.
+    """Mixing matrix with its spectral certificate.
 
-    The off-diagonal part the integrator mixes with is built once, at
-    construction, and is read-only."""
+    At construction the off-diagonal nonzeros of ``matrix`` become a padded
+    neighbour table: slot k holds, for every agent, its k-th neighbour in
+    ascending column order and that neighbour's weight; an agent with fewer
+    neighbours is padded with itself at weight 0.  ``diag`` and
+    ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(default=None)  # sorted decreasing
     w_hat: float = field(default=None)  # min_i |w_ii|
-    _offdiag: np.ndarray = field(init=False, repr=False, compare=False)
+    diag: np.ndarray = field(init=False, repr=False, compare=False)
+    one_plus_diag: np.ndarray = field(init=False, repr=False, compare=False)
+    _nbr: np.ndarray = field(init=False, repr=False, compare=False)  # (slots, m)
+    _wgt: np.ndarray = field(init=False, repr=False, compare=False)  # (slots, m, 1)
 
     def __post_init__(self):
-        off = np.array(self.matrix, dtype=float, order="C")
-        np.fill_diagonal(off, 0.0)
-        off.flags.writeable = False
-        object.__setattr__(self, "_offdiag", off)
+        A = np.asarray(self.matrix, dtype=float)
+        support = (A != 0) & ~np.eye(self.m, dtype=bool)
+        rows, cols = np.divmod(np.flatnonzero(support), self.m)  # row-major: columns ascend
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank within the row
+        # at least one slot, so that an edgeless W (m = 1) mixes to zeros
+        nbr = np.tile(np.arange(self.m), (int(slot.max(initial=0)) + 1, 1))
+        wgt = np.zeros(nbr.shape + (1,))
+        nbr[slot, rows], wgt[slot, rows, 0] = cols, A[rows, cols]
+        diag = np.diag(A)[:, None].copy()
+        for name, value in (("diag", diag), ("one_plus_diag", 1.0 + diag), ("_nbr", nbr), ("_wgt", wgt)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    def diag(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
-    def offdiag(self) -> np.ndarray:
-        return self._offdiag
+    def offdiag(self, v: np.ndarray) -> np.ndarray:
+        """sum_{j != i} w_ij v_j for every agent i, from the (m, d) block v,
+        added slot by slot so that the summation order is fixed."""
+        terms = v.take(self._nbr, axis=0)
+        terms *= self._wgt
+        acc = terms[0]
+        for k in range(1, len(terms)):
+            acc += terms[k]
+        return acc
 
 
 def ring_topology(m: int) -> Topology:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_network import neighbour_loop
 from test_problems import legacy_project_box_budget_batch
 
 from dagopt import engine
@@ -156,6 +157,24 @@ class TestRun:
         assert len(res.records) == 1
         assert res.records[-1].diverged
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e12, -2e12])
+    @pytest.mark.parametrize("name", ["x", "y", "psi"])
+    def test_divergence_guard_flags_each_array(self, name, value):
+        _, _, _, st = small_setup(noise=False)
+        arrays = {"x": st.x.copy(), "y": st.y.copy(), "psi": st.psi.copy()}
+        arrays[name][1, 0] = value
+        engine._commit(st, arrays["x"], arrays["y"], arrays["psi"], st.g_cache)
+        assert st.diverged_at == 1
+
+    @pytest.mark.parametrize("name", ["x", "y", "psi"])
+    def test_divergence_threshold_itself_is_not_divergence(self, name):
+        _, _, _, st = small_setup(noise=False)
+        arrays = {"x": st.x.copy(), "y": st.y.copy(), "psi": st.psi.copy()}
+        arrays[name][1, 0] = engine.DIVERGENCE_THRESHOLD
+        arrays[name][2, 0] = -engine.DIVERGENCE_THRESHOLD
+        engine._commit(st, arrays["x"], arrays["y"], arrays["psi"], st.g_cache)
+        assert st.diverged_at is None
+
 
 class TestBaseline:
     def test_zero_stepsize_freezes_decisions(self):
@@ -180,9 +199,9 @@ class TestBaseline:
 
 def reference_rounds(prob, W, sch, seed, T, stepper):
     """The rounds of ``engine.step`` / ``step_baseline`` written out with the
-    per-row-loop projection, a fresh off-diagonal copy of W every round and
-    a Philox generator keyed seed<<64 | t<<2 | tag built here for each
-    round's noise; yields (x, y, psi) per round."""
+    per-row-loop projection, mixing one neighbour at a time in ascending
+    index order and a Philox generator keyed seed<<64 | t<<2 | tag built here
+    for each round's noise; yields (x, y, psi) per round."""
     spec = prob.meta["spec"]
 
     def project(points):
@@ -199,8 +218,6 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
     g_cache, grad2_cache, partial = psi.copy(), y.copy(), 0.0
     wdiag = np.diag(W.matrix)
     for t in range(T):
-        off = W.matrix.copy()
-        np.fill_diagonal(off, 0.0)
         if stepper == "alg1":
             lam, alpha = sch.lam.value(t), sch.alpha.value(t)
             gamma1, gamma2 = sch.gamma1.value(t), sch.gamma2.value(t)
@@ -208,14 +225,14 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
             norms = np.linalg.norm(sent, axis=1)
             radius = (1.0 + partial) * prob.constants.L_f2
             shared = sent * np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
-            y_next = (1.0 + wdiag)[:, None] * y + off @ shared + gamma1 * prob.eval_grad2_all(x, psi)
+            y_next = (1.0 + wdiag)[:, None] * y + neighbour_loop(W.matrix, shared) + gamma1 * prob.eval_grad2_all(x, psi)
             incr = (y_next - y) * (1.0 / max(gamma1, 1e-300))
             x_next = project(x - lam * (prob.eval_grad1_all(x, psi) + prob.apply_grad_g_all(x, incr)))
             xi = noise(TAG_XI, t)
             g_new = prob.eval_g_all(x_next)
             psi_next = (
                 (1.0 - alpha + gamma2 * wdiag)[:, None] * psi
-                + gamma2 * (off @ (psi + xi))
+                + gamma2 * neighbour_loop(W.matrix, psi + xi)
                 + g_new
                 - (1.0 - alpha) * g_cache
             )
@@ -224,10 +241,10 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
             x_next = project(x - 0.01 * (prob.eval_grad1_all(x, psi) + prob.apply_grad_g_all(x, y)))
             xi = noise(TAG_XI, t)
             g_new = prob.eval_g_all(x_next)
-            psi_next = (1.0 + wdiag)[:, None] * psi + off @ (psi + xi) + g_new - g_cache
+            psi_next = (1.0 + wdiag)[:, None] * psi + neighbour_loop(W.matrix, psi + xi) + g_new - g_cache
             zeta = noise(TAG_ZETA, t)
             grad2_cache_next = prob.eval_grad2_all(x_next, psi_next)
-            y_next = (1.0 + wdiag)[:, None] * y + off @ (y + zeta) + grad2_cache_next - grad2_cache
+            y_next = (1.0 + wdiag)[:, None] * y + neighbour_loop(W.matrix, y + zeta) + grad2_cache_next - grad2_cache
             grad2_cache = grad2_cache_next
         x, y, psi, g_cache = x_next, y_next, psi_next, g_new
         yield x, y, psi

@@ -17,6 +17,29 @@ from dagopt.network import (
 )
 
 
+def neighbour_loop(A, v):
+    """sum_{j != i} A[i, j] v[j] for every row i, added one neighbour at a
+    time in ascending j over the nonzero off-diagonal entries."""
+    out = np.zeros_like(v)
+    for i in range(A.shape[0]):
+        acc = None
+        for j in np.flatnonzero(A[i]):
+            if j != i:
+                term = A[i, j] * v[j]
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[i] = acc
+    return out
+
+
+def _star(m):
+    return Topology(m, tuple((0, j) for j in range(1, m)))
+
+
+def _ring_with_chords(m):
+    return Topology(m, tuple(sorted(set(ring_topology(m).edges) | {(0, m // 2), (3, m - 5), (5, m - 3)})))
+
+
 class TestTopologies:
     def test_ring_structure(self):
         topo = ring_topology(6)
@@ -104,24 +127,46 @@ class TestWeightMatrix:
         assert not cert.ok
         assert cert.violations
 
-    def test_offdiag_built_once_and_read_only(self):
-        W = build_weight_matrix(generate_k_regular(20, 4, seed=0), 0.12)
-        off = W.offdiag()
-        assert W.offdiag() is off
-        with pytest.raises(ValueError):
-            off[0, 1] = 1.0
-        expected = W.matrix.copy()
-        np.fill_diagonal(expected, 0.0)
-        assert np.array_equal(off, expected)
-        assert off.flags.c_contiguous
-
     def test_certificate_verdicts_unaffected_by_offdiag(self):
         good = build_weight_matrix(ring_topology(8), 0.2)
         for W in (good, WeightMatrix(matrix=good.matrix)):
             assert validate_assumption2(W) == validate_assumption2(good.matrix)
             assert validate_assumption2(W).ok
         bad = WeightMatrix(matrix=np.array([[-0.5, 0.5], [0.4, -0.4]]))
-        assert np.array_equal(bad.offdiag(), [[0.0, 0.5], [0.4, 0.0]])
+        assert np.array_equal(bad.offdiag(np.array([[1.0], [2.0]])), [[1.0], [0.4]])
         cert = validate_assumption2(bad)
         assert not cert.ok
         assert cert == validate_assumption2(bad.matrix)
+
+
+class TestEdgeMixing:
+    CASES = {
+        "4-regular-m1000": lambda: build_weight_matrix(generate_k_regular(1000, 4, seed=0), 0.12).matrix,
+        "star-m12": lambda: build_weight_matrix(_star(12), 0.05).matrix,
+        "ring-chords-m16": lambda: build_weight_matrix(_ring_with_chords(16), 0.12).matrix,
+        "asymmetric": lambda: np.array([[-0.5, 0.5], [0.4, -0.4]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_ascending_neighbour_loop(self, case):
+        A = self.CASES[case]()
+        v = np.random.default_rng(1).standard_normal((A.shape[0], 13))
+        assert np.array_equal(WeightMatrix(matrix=A).offdiag(v), neighbour_loop(A, v))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_close_to_dense_product(self, case):
+        A = self.CASES[case]()
+        v = np.random.default_rng(2).standard_normal((A.shape[0], 5))
+        dense = (A - np.diag(np.diag(A))) @ v
+        assert np.abs(WeightMatrix(matrix=A).offdiag(v) - dense).max() <= 1e-15 * np.abs(v).max()
+
+    def test_single_agent_mixes_to_zero(self):
+        W = WeightMatrix(matrix=np.zeros((1, 1)))
+        out = W.offdiag(np.ones((1, 4)))
+        assert out.shape == (1, 4) and not out.any()
+
+    def test_diagonal_columns(self):
+        W = build_weight_matrix(ring_topology(8), 0.2)
+        assert np.array_equal(W.diag[:, 0], np.diag(W.matrix))
+        assert np.array_equal(W.one_plus_diag[:, 0], 1.0 + np.diag(W.matrix))
+        assert not W.diag.flags.writeable and not W.one_plus_diag.flags.writeable
