@@ -397,13 +397,10 @@ def _write(path: str, text: str) -> None:
 
 def _manifest(cfg: ExperimentConfig, extra_lines: list[str]) -> str:
     body = config_to_text(cfg)
-    lines = [
-        "# run manifest",
-        f"config_hash = {manifest_hash(cfg)}",
-        *extra_lines,
-        "",
-        body,
-    ]
+    lines = ["# run manifest", f"config_hash = {manifest_hash(cfg)}"]
+    if cfg.problem == "ev":  # the only problem built from the bundled data files
+        lines.append(f"input_data_hash = {input_data_hash()}")
+    lines += [*extra_lines, "", body]
     return "\n".join(lines)
 
 

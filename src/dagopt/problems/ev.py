@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import InfeasibleSpec
 from .base import AggregativeProblem, ProblemConstants
-from .projections import project_box_budget_batch
+from .projections import BoxBudgetProjection
 
 K_SLOTS = 13
 PRICE_COEFF = 0.15
@@ -150,8 +150,7 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
     def gg_apply_all(x, v):
         return scale * v
 
-    def project_all(x):
-        return project_box_budget_batch(x, spec.x_max, spec.E)
+    project_all = BoxBudgetProjection(spec.x_max, spec.E)
 
     # Gradient-check hooks: the budget equality gives X_i an empty interior,
     # but f_i and g_i are smooth in x everywhere, so interiority only needs
@@ -160,7 +159,7 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
         return np.all((x > h2) & (x < spec.x_max - h2), axis=1)
 
     def interior_sampler(rng):
-        rand_pt = project_box_budget_batch(rng.uniform(0.0, 1.0, (m, K)) * spec.x_max, spec.x_max, spec.E)
+        rand_pt = project_all(rng.uniform(0.0, 1.0, (m, K)) * spec.x_max)
         return 0.7 * (spec.E[:, None] / K) + 0.3 * rand_pt
 
     margin = 1.1

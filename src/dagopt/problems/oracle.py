@@ -46,10 +46,12 @@ def centralized_oracle(
         pg = float(np.linalg.norm(diff)) / step
         if pg < tol:
             break
-        # Armijo backtracking on the projected step
+        # Armijo backtracking on the projected step; the first trial is the
+        # point just projected
         accepted = False
-        for _ in range(60):
-            x_trial = problem.eval_project_all(x - step * grad)
+        for trial in range(60):
+            if trial:
+                x_trial = problem.eval_project_all(x - step * grad)
             diff = x_trial - x
             f_trial = F_value(problem, x_trial)
             if f_trial <= fx + float((grad * diff).sum()) + 0.5 / step * float((diff * diff).sum()) + 1e-15:

@@ -22,6 +22,7 @@ from dagopt.harness.experiments import (
     AdjacentScenario,
     emit_outputs,
     fit_loglog_slope,
+    input_data_hash,
     perturb_spec,
     run_convergence_experiment,
     run_robustness_experiment,
@@ -254,6 +255,21 @@ class TestEmission:
             emit_outputs(run_convergence_experiment(cfg), out)
         for name in ("metrics.csv", "curve.svg", "manifest.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_manifest_records_input_data_hash(self, tmp_path):
+        cfg = dataclasses.replace(parse_config(_SMALL["truthfulness"]), seeds=(0, 1))
+        found = []
+        for run, workers in enumerate((1, 1, 2)):
+            out = tmp_path / str(run)
+            emit_outputs(_run_kind(dataclasses.replace(cfg, workers=workers)), out)
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            found.append([l for l in manifest if l.startswith("input_data_hash")])
+        digest = input_data_hash()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert found == [[f"input_data_hash = {digest}"]] * 3
+        # a synthetic problem reads no data file
+        emit_outputs(_run_kind(parse_config(_SMALL["convergence"])), tmp_path / "sc")
+        assert "input_data_hash" not in (tmp_path / "sc" / "manifest.txt").read_text()
 
 
 class TestCli:

@@ -12,7 +12,7 @@ from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
 from dagopt.problems.oracle import centralized_oracle
-from dagopt.problems.projections import project_box_budget, project_box_budget_batch
+from dagopt.problems.projections import BoxBudgetProjection, project_box_budget, project_box_budget_batch
 from dagopt.problems.synthetic import synthetic_problem
 
 
@@ -165,6 +165,112 @@ class TestProjection:
         ref = legacy_project_box_budget_batch(pts, x_max, E, polished)
         assert len(polished) > 100
         assert np.array_equal(project_box_budget_batch(pts, x_max, E), ref)
+
+
+def legacy_loop_cases(budget):
+    """Instances drawn like those of ``test_bit_identical_to_legacy_loop``:
+    closed slots, ties among points and breakpoints, repeated coordinates
+    within a row, and zero, random or full budgets.  Yields (x_max, E, draw)
+    where draw() returns a fresh (m, K) point block of the same kind."""
+    rng = np.random.default_rng({"random": 10, "zero": 11, "full": 12}[budget])
+    for trial in range(40):
+        m = 1200 if trial == 0 else int(rng.integers(1, 80))
+        K = int(rng.integers(1, 16))
+        x_max = rng.uniform(0.0, 5.0, (m, K))
+        x_max[rng.random((m, K)) < 0.25] = 0.0
+        if trial % 2:
+            x_max = np.round(x_max)
+        E = {"random": rng.uniform(0.0, 1.0, m) * x_max.sum(axis=1), "zero": np.zeros(m), "full": x_max.sum(axis=1)}[
+            budget
+        ]
+
+        def draw(trial=trial, m=m, K=K):
+            pts = rng.normal(0.0, 4.0, (m, K))
+            if trial % 2:
+                pts = np.round(pts)
+            if trial % 3 == 0:
+                pts[:, K // 2 :] = pts[:, :1]
+            return pts
+
+        yield x_max, E, draw
+
+
+def direct_masses(points, x_max):
+    """Mass of each row at each of its sorted breakpoints, evaluated the way
+    the projection does: subtract, clip to [0, x_max], sum the row."""
+    bp = np.sort(np.concatenate([points, points - x_max], axis=1), axis=1)
+    mass = [np.minimum(np.maximum(points - bp[:, [j]], 0.0), x_max).sum(axis=1) for j in range(bp.shape[1])]
+    return np.stack(mass, axis=1)
+
+
+class TestBoxBudgetProjection:
+    @pytest.mark.parametrize("budget", ["random", "zero", "full"])
+    def test_reused_projector_bit_identical_to_legacy_loop(self, budget):
+        for case, (x_max, E, draw) in enumerate(legacy_loop_cases(budget)):
+            project = BoxBudgetProjection(x_max, E)
+            pts = draw()
+            # repeats and small moves keep the previous brackets; a fresh
+            # draw moves most of them
+            for call, p in enumerate([pts, pts, pts + 1e-6, pts - 1e-3, draw(), pts]):
+                got = project(p)
+                assert np.array_equal(got, legacy_project_box_budget_batch(p, x_max, E)), (case, call)
+
+    @pytest.mark.parametrize("budget", ["random", "zero", "full"])
+    def test_stale_hints_do_not_change_the_result(self, budget):
+        rng = np.random.default_rng(20)
+        for case, (x_max, E, draw) in enumerate(legacy_loop_cases(budget)):
+            pts = draw()
+            ref = legacy_project_box_budget_batch(pts, x_max, E)
+            m, nbp = pts.shape[0], 2 * pts.shape[1]
+            for hint in (np.zeros(m), np.full(m, nbp - 1), rng.integers(0, nbp, m)):
+                project = BoxBudgetProjection(x_max, E)
+                project.hint = hint.astype(np.intp)
+                assert np.array_equal(project(pts), ref), case
+
+    def test_hint_is_the_unique_bracket(self):
+        rng = np.random.default_rng(21)
+        x_max = rng.uniform(0.0, 5.0, (50, 13))
+        E = rng.uniform(0.0, 1.0, 50) * x_max.sum(axis=1)
+        pts = rng.normal(0.0, 4.0, (50, 13))
+        project = BoxBudgetProjection(x_max, E)
+        project(pts)
+        mass = direct_masses(pts, x_max)
+        assert np.array_equal(project.hint, (mass > E[:, None]).sum(axis=1))
+
+    def test_non_finite_call_then_finite_call_match_legacy_loop(self):
+        rng = np.random.default_rng(15)
+        x_max = rng.uniform(0.0, 5.0, (6, 13))
+        E = 0.4 * x_max.sum(axis=1)
+        project = BoxBudgetProjection(x_max, E)
+        bad = rng.normal(0.0, 4.0, (6, 13))
+        bad[1, 3] = np.nan
+        bad[4] = np.nan
+        good = rng.normal(0.0, 4.0, (6, 13))
+        for pts in (good, bad, good, good):
+            ref = legacy_project_box_budget_batch(pts, x_max, E)
+            assert np.array_equal(project(pts), ref, equal_nan=True)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_direct_mass_non_increasing_at_sorted_breakpoints(self, data):
+        # the one-bracket argument the hint relies on, including ties, closed
+        # slots and magnitudes far apart
+        K = data.draw(st.integers(1, 16))
+        coord = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0, -1.0, 0.1, 1e-300, 3.0]))
+        points = np.array([data.draw(st.lists(coord, min_size=K, max_size=K))])
+        x_max = np.array([data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=K, max_size=K))])
+        mass = direct_masses(points, x_max)[0]
+        assert np.all(np.diff(mass) <= 0), mass
+        bp = np.sort(np.concatenate([points, points - x_max], axis=1), axis=1)[0]
+        assert np.array_equal(mass, [np.clip(points[0] - b, 0.0, x_max[0]).sum() for b in bp])
+
+    def test_infeasible_budget_rejected_at_construction(self):
+        with pytest.raises(InfeasibleBudget):
+            BoxBudgetProjection(np.ones((1, 3)), np.array([4.0]))
+        with pytest.raises(InfeasibleBudget):
+            BoxBudgetProjection(np.ones((1, 3)), np.array([-1.0]))
+        with pytest.raises(InfeasibleBudget):
+            BoxBudgetProjection(-np.ones((1, 3)), np.array([0.0]))
 
 
 class TestEVInstance:
