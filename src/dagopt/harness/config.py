@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
@@ -75,8 +76,8 @@ class ExperimentConfig:
     # topology
     topology: str = "k-regular"
     degree: int = 4
-    # 0.12 keeps every degree-4 graph inside the eigenvalue band (-1, 0]:
-    # eig(W) >= edge_weight * (lambda_min(adjacency) - 4) >= -8 * 0.12
+    # 0.12 keeps every degree-4 graph inside the eigenvalue band (-1, 0], by
+    # the degree bound build_weight_matrix checks: 0.12 * (4 + 4) = 0.96 < 1
     edge_weight: float = 0.12
     topology_seed: int = 0
     # schedules (flat decimal fields; preset fills exponents)
@@ -116,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("T must be >= 0 and stride >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not (0 < self.edge_weight < math.inf):
+            raise ConfigError(f"edge_weight must be finite and > 0, got {self.edge_weight}")
         # inputs a run would ignore: the EV instance always has K_SLOTS hourly
         # slots, and the truthfulness experiment always runs the EV instance
         if self.problem == "ev" and (self.n, self.d) != (K_SLOTS, K_SLOTS):

@@ -8,7 +8,20 @@ a simple zero eigenvalue (connected network).
 
 Mixing costs O(edges): each agent combines only its neighbours' rows,
 through a neighbour table built once per matrix.  The spectral certificate
-is still computed from the dense m x m matrix.
+also costs O(edges) for the uniform-weight matrix W = -edge_weight * L (L the
+graph Laplacian), through two classical bounds on L's spectrum:
+
+- lambda_max(L) <= max over edges ij of d_i + d_j (Anderson and Morley,
+  "Eigenvalues of the Laplacian of a graph", Linear and Multilinear Algebra
+  1985) bounds delta_m = -edge_weight * lambda_max(L) from below;
+- a(G) >= 4 / (m * diam) for a connected graph (Mohar, "Eigenvalues,
+  diameter, and mean distance in graphs", Graphs and Combinatorics 1991),
+  with diam <= 2 * ecc(0) from one breadth-first search, bounds
+  delta_2 = -edge_weight * a(G) from above.
+
+Only an input that either bound cannot decide pays for the dense m x m
+eigen-solve.  ``validate_assumption2`` stays dense: it is the diagnostic that
+checks any given matrix.
 """
 
 from __future__ import annotations
@@ -45,31 +58,42 @@ class Topology:
             adj[j].append(i)
         return adj
 
+    @property
+    def edge_index(self) -> np.ndarray:
+        """The edges as an (E, 2) integer array, in ``edges`` order."""
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edge_index.ravel(), minlength=self.m)
+
+    def eccentricity(self) -> int | None:
+        """Hop distance from agent 0 to the agent farthest from it, by one
+        breadth-first search; None when some agent cannot be reached."""
+        if self.m == 0:
+            return None
+        adj = self.adjacency
+        seen = [False] * self.m
+        seen[0] = True
+        frontier, depth, reached = [0], -1, 1
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for u in adj[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        nxt.append(u)
+            frontier = nxt
+            reached += len(nxt)
+        return depth if reached == self.m else None
 
     def is_connected(self) -> bool:
-        if self.m == 0:
-            return False
-        adj = self.adjacency
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.m
+        return self.eccentricity() is not None
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Mixing matrix with its spectral certificate.
+    """Mixing matrix and its neighbour table.
 
     At construction the off-diagonal nonzeros of ``matrix`` become a padded
     neighbour table: slot k holds, for every agent, its k-th neighbour in
@@ -78,7 +102,6 @@ class WeightMatrix:
     ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(default=None)  # sorted decreasing
     w_hat: float = field(default=None)  # min_i |w_ii|
     diag: np.ndarray = field(init=False, repr=False, compare=False)
     one_plus_diag: np.ndarray = field(init=False, repr=False, compare=False)
@@ -136,25 +159,17 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
     if not (0 < k < m):
         raise InfeasibleDegree(f"need 0 < k < m, got m={m}, k={k}")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    stubs = np.repeat(np.arange(m), k)
     for _ in range(1000):
-        stubs = np.repeat(np.arange(m), k)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b:
-                ok = False
-                break
-            e = (a, b) if a < b else (b, a)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
+        a, b = rng.permutation(stubs).reshape(-1, 2).T
+        if (a == b).any():  # a self-loop
             continue
-        top = Topology(m, tuple(sorted(edges)))
+        keys = np.minimum(a, b) * m + np.maximum(a, b)
+        keys.sort()  # sorted keys give sorted edges
+        if (keys[1:] == keys[:-1]).any():  # a multi-edge
+            continue
+        lo, hi = np.divmod(keys, m)
+        top = Topology(m, tuple(zip(lo.tolist(), hi.tolist())))
         if top.is_connected():
             return top
     raise InfeasibleDegree(f"could not generate a simple connected {k}-regular graph on {m} vertices")
@@ -163,24 +178,36 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
 def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     """Uniform-weight mixing matrix for a connected topology.
 
-    Requires edge_weight * max_degree < 1 so that 1 + w_ii > 0."""
-    if not topology.is_connected():
+    Certifies -1 < delta_m and delta_2 < 0 from the degrees and one
+    breadth-first search (module docstring); runs the dense eigen-solve only
+    when either bound cannot decide.  Requires edge_weight * max_degree < 1
+    so that 1 + w_ii > 0."""
+    ecc = topology.eccentricity()
+    if ecc is None:
         raise DisconnectedTopology(f"topology on {topology.m} agents is not connected")
-    if not (edge_weight > 0):
-        raise ValueError("edge_weight must be > 0")
+    if not (0 < edge_weight < np.inf):
+        raise ValueError(f"edge_weight must be finite and > 0, got {edge_weight}")
     m = topology.m
+    e = topology.edge_index
     W = np.zeros((m, m))
-    for i, j in topology.edges:
-        W[i, j] = edge_weight
-        W[j, i] = edge_weight
+    W[e[:, 0], e[:, 1]] = edge_weight
+    W[e[:, 1], e[:, 0]] = edge_weight
     np.fill_diagonal(W, -W.sum(axis=1))
-    eig = np.sort(np.linalg.eigvalsh(W))[::-1]
-    if eig[-1] <= -1.0 + _SPECTRAL_TOL:
-        raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
-    if m > 1 and eig[1] >= -_SPECTRAL_TOL:
-        raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
-    w_hat = float(np.min(np.abs(np.diag(W)))) if m > 1 else 0.0
-    return WeightMatrix(matrix=W, eigenvalues=eig, w_hat=w_hat)
+    diag = np.diag(W)
+    if diag.min() == -np.inf:  # delta_m <= min_i w_ii = -inf
+        raise SpectralViolation(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
+    deg = topology.degrees()
+    # Anderson-Morley for delta_m; Mohar with diam <= 2 ecc(0) for delta_2
+    band = edge_weight * float((deg[e[:, 0]] + deg[e[:, 1]]).max(initial=0)) < 1.0 - _SPECTRAL_TOL
+    gap = m == 1 or edge_weight * 4.0 / (m * 2 * ecc) > _SPECTRAL_TOL
+    if not (band and gap):
+        eig = np.sort(np.linalg.eigvalsh(W))[::-1]
+        if eig[-1] <= -1.0 + _SPECTRAL_TOL:
+            raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
+        if m > 1 and eig[1] >= -_SPECTRAL_TOL:
+            raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
+    w_hat = float(np.min(np.abs(diag))) if m > 1 else 0.0
+    return WeightMatrix(matrix=W, w_hat=w_hat)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ class TestStep:
         # gamma1 * grad2_f, so the x update collapses to a projected
         # gradient step on the composite objective.
         prob = synthetic_problem("strongly-convex", 1, 4, 3, seed=0)
-        W = WeightMatrix(matrix=np.zeros((1, 1)), eigenvalues=np.zeros(1), w_hat=0.0)
+        W = WeightMatrix(matrix=np.zeros((1, 1)), w_hat=0.0)
         sch = build_schedules(default_config(), dim=prob.d)
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         for t in range(5):

@@ -78,7 +78,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", ["[experiment]\nkind = bogus\n", "[experiment]\nT = abc\n",
                                       "[experiment]\nseeds = 0,x\n", "[topology]\nedge_weight = heavy\n",
-                                      "[schedules]\nnoise_enabled = flase\n", "T = 5\n"])
+                                      "[schedules]\nnoise_enabled = flase\n", "T = 5\n",
+                                      "[topology]\nedge_weight = 0\n", "[topology]\nedge_weight = -0.1\n",
+                                      "[topology]\nedge_weight = inf\n", "[topology]\nedge_weight = nan\n"])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
@@ -326,8 +328,11 @@ class TestCli:
             "[experiment]\nkind = convergence\nT = abc\n",
             "[experiment]\nkind = truthfulness\n[problem]\nproblem = strongly-convex\n",
             "[experiment]\nkind = convergence\n[problem]\nproblem = ev\nn = 4\nd = 4\n",
+            *(f"[experiment]\nkind = convergence\nT = 5\n[problem]\nm = 6\n[topology]\ntopology = ring\nedge_weight = {w}\n"
+              for w in ("0", "inf", "1e308")),
         ],
-        ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots"],
+        ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
+             "edge-weight-0", "edge-weight-inf", "edge-weight-1e308"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

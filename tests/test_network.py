@@ -32,8 +32,48 @@ def neighbour_loop(A, v):
     return out
 
 
+def legacy_generate_k_regular(m, k, seed):
+    """The pairing model one pair at a time: the reference for
+    ``generate_k_regular``'s array-based rejection, drawing the same shuffles."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for _ in range(1000):
+        stubs = np.repeat(np.arange(m), k)
+        rng.shuffle(stubs)
+        edges = set()
+        for a, b in stubs.reshape(-1, 2):
+            a, b = int(a), int(b)
+            e = (a, b) if a < b else (b, a)
+            if a == b or e in edges:
+                break
+            edges.add(e)
+        else:
+            adj = Topology(m, tuple(edges)).adjacency
+            seen, stack = {0}, [0]
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            if len(seen) == m:
+                return tuple(sorted(edges))
+    raise InfeasibleDegree("no simple connected draw")
+
+
+def dense_weight_matrix(topology, edge_weight):
+    """-edge_weight times the graph Laplacian, filled one edge at a time."""
+    W = np.zeros((topology.m, topology.m))
+    for i, j in topology.edges:
+        W[i, j] = W[j, i] = edge_weight
+    np.fill_diagonal(W, -W.sum(axis=1))
+    return W
+
+
 def _star(m):
     return Topology(m, tuple((0, j) for j in range(1, m)))
+
+
+def _path(m):
+    return Topology(m, tuple((i, i + 1) for i in range(m - 1)))
 
 
 def _ring_with_chords(m):
@@ -62,6 +102,18 @@ class TestTopologies:
         a = generate_k_regular(20, 4, seed=7)
         b = generate_k_regular(20, 4, seed=7)
         assert a.edges == b.edges
+
+    @pytest.mark.parametrize("m, k, seed", [(10, 4, 0), (10, 4, 1), (10, 4, 2), (10, 4, 3), (10, 4, 4), (20, 4, 0),
+                                            (50, 3, 1), (12, 5, 2), (1000, 4, 0), (1000, 4, 7)])
+    def test_k_regular_equals_pairwise_rejection(self, m, k, seed):
+        assert generate_k_regular(m, k, seed).edges == legacy_generate_k_regular(m, k, seed)
+
+    @pytest.mark.parametrize("topo, ecc", [(ring_topology(8), 4), (_path(5), 4), (_star(12), 1),
+                                           (Topology(1, ()), 0), (Topology(4, ((0, 1), (2, 3))), None),
+                                           (Topology(0, ()), None)])
+    def test_eccentricity_of_agent_zero(self, topo, ecc):
+        assert topo.eccentricity() == ecc
+        assert topo.is_connected() == (ecc is not None)
 
     def test_k_regular_parity_rejected(self):
         with pytest.raises(InfeasibleDegree):
@@ -94,9 +146,10 @@ class TestWeightMatrix:
 
     def test_eigenvalues_in_open_unit_band(self):
         W = build_weight_matrix(ring_topology(8), 0.2)
-        assert W.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-        assert W.eigenvalues[1] < 0.0
-        assert W.eigenvalues[-1] > -1.0
+        eig = np.sort(np.linalg.eigvalsh(W.matrix))[::-1]
+        assert eig[0] == pytest.approx(0.0, abs=1e-12)
+        assert eig[1] < 0.0
+        assert eig[-1] > -1.0
 
     def test_spectral_violation_raised(self):
         # complete graph on 3 nodes with weight 0.6: eigenvalue -1.8 <= -1
@@ -114,11 +167,52 @@ class TestWeightMatrix:
         with pytest.raises(DisconnectedTopology):
             build_weight_matrix(topo, 0.1)
 
+    # the degree bound is tight on the ring (lambda_max = 4 = 2 + 2); complete
+    # graphs from m = 6 at 0.12 and near 1 / m, and 0.2 on degree 4, need the
+    # dense solve for delta_m; the path at m=200 needs it for delta_2
+    # (2 ecc(0) = 398 = 2 diam)
+    SPECTRAL_CASES = (
+        [("ring-8", ring_topology(8), w) for w in (0.2, 0.25 - 1e-12, 0.3)]
+        + [(f"complete-{m}", complete_topology(m), w) for m in range(3, 11) for w in (0.12, 1 / m - 1e-6, 1 / m + 1e-6)]
+        + [("4-regular-20", generate_k_regular(20, 4, seed=0), w) for w in (0.12, 0.2)]
+        + [("star-12", _star(12), 0.05), ("path-200", _path(200), 1e-5), ("path-200", _path(200), 1e-12)]
+    )
+
+    @pytest.mark.parametrize("name, topo, weight", SPECTRAL_CASES, ids=[f"{c[0]}-{c[2]!r}" for c in SPECTRAL_CASES])
+    def test_verdict_equals_dense_certificate(self, name, topo, weight):
+        dense = dense_weight_matrix(topo, weight)
+        if validate_assumption2(dense).ok:
+            assert np.array_equal(build_weight_matrix(topo, weight).matrix, dense)
+        else:
+            with pytest.raises(SpectralViolation):
+                build_weight_matrix(topo, weight)
+
+    def test_certified_without_the_dense_solve(self, monkeypatch):
+        topo = generate_k_regular(1000, 4, seed=0)
+        dense = dense_weight_matrix(topo, 0.12)
+
+        def refuse(_):
+            raise AssertionError("dense eigen-solve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert np.array_equal(build_weight_matrix(topo, 0.12).matrix, dense)
+
+    @pytest.mark.parametrize("weight", [0.0, -0.1, np.inf, np.nan])
+    def test_bad_edge_weight_raises_value_error(self, weight):
+        with pytest.raises(ValueError, match="edge_weight"):
+            build_weight_matrix(ring_topology(6), weight)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_edge_weight_is_a_spectral_violation(self):
+        # the diagonal -2e308 overflows to -inf; a dense solve would not converge
+        with pytest.raises(SpectralViolation, match="overflows"):
+            build_weight_matrix(ring_topology(6), 1e308)
+
     def test_certificate_reports_spectral_gap(self):
         W = build_weight_matrix(ring_topology(8), 0.2)
         cert = validate_assumption2(W)
         assert cert.ok
-        assert cert.delta2 == pytest.approx(W.eigenvalues[1], rel=1e-12)
+        assert cert.delta2 == pytest.approx(np.sort(np.linalg.eigvalsh(W.matrix))[-2], rel=1e-12)
         assert cert.violations == ()
 
     def test_certificate_flags_bad_matrix(self):
