@@ -5,7 +5,7 @@ agent network: each agent i holds a local objective f_i(x^i, phi(x)) that
 depends on the network-wide aggregate phi(x) = (1/m) sum_i g_i(x^i).  The
 package provides
 
-- decaying schedules and keyed Laplace noise draws (``schedules``)
+- decaying schedules and per-run Laplace noise streams (``schedules``)
 - mixing-matrix construction and validation (``network``)
 - problem instances: EV charging and synthetic test problems (``problems``)
 - the synchronous-rounds integrator plus a conventional gradient-tracking

@@ -11,10 +11,11 @@ One round at iteration t performs, with barriers between the three phases:
                         + g_i(x^i_{t+1}) - (1 - alpha_t) g_i(x^i_t)
 
 Broadcast noise semantics: the sender draws one noise vector per iteration
-and every receiver sees the same obscured value.  Each iteration makes one
-keyed zeta draw and one keyed xi draw holding every sender's vector (row j is
-sender j), keyed by (seed, iteration, tag) with seeds in [0, 2^64) and
-iterations below 2^62, for any number of agents.
+and every receiver sees the same obscured value.  A run owns one zeta stream
+and one xi stream, both keyed by its seed (``schedules.noise_streams``); each
+iteration takes the next block of each, holding every sender's vector (row j
+is sender j).  Both steppers draw each tag once per round, so runs of one
+seed see the same zeta_t and xi_t whichever stepper they use.
 
 The conventional gradient-tracking baseline (step_baseline) mixes with
 A = I + W, feeds y directly into the decision update, uses a constant
@@ -33,7 +34,7 @@ from .errors import DimensionMismatch
 from .network import WeightMatrix
 from .problems.base import AggregativeProblem, F_grad, F_value, aggregate
 from .problems.oracle import OracleSolution
-from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, ScheduleSet, noise_vector
+from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, ScheduleSet, noise_streams, noise_vector
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -43,8 +44,7 @@ class RunState:
     problem: AggregativeProblem
     W: WeightMatrix
     schedules: ScheduleSet
-    seed: int
-    noise_enabled: bool
+    streams: tuple[np.random.Generator, np.random.Generator] | None  # (zeta, xi); None when noise-free
     t: int
     x: np.ndarray  # (m, n)
     y: np.ndarray  # (m, d)
@@ -66,7 +66,6 @@ class MetricsRecord:
     grad_est_err: float
     weighted_avg_gap: float
     weighted_avg_grad: float
-    err_x_agent_max: float = 0.0
     diverged: bool = False
 
 
@@ -91,7 +90,9 @@ def init_run(
     x0_policy: str = "project-zero",
     noise_enabled: bool = True,
 ) -> RunState:
-    """x0 per policy (projected feasible), psi0 = g(x0), y0 = grad2_f(x0, psi0)."""
+    """x0 per policy (projected feasible), psi0 = g(x0), y0 = grad2_f(x0, psi0).
+
+    ``seed`` keys the run's noise streams (and x0 under random-feasible)."""
     if W.m != problem.m:
         raise DimensionMismatch(f"W is {W.m}x{W.m} but problem has m={problem.m}")
     if schedules.noise.dim != problem.d:
@@ -110,8 +111,7 @@ def init_run(
         problem=problem,
         W=W,
         schedules=schedules,
-        seed=seed,
-        noise_enabled=noise_enabled,
+        streams=noise_streams(seed) if noise_enabled else None,
         t=0,
         x=x0,
         y=y0,
@@ -123,12 +123,14 @@ def init_run(
 
 
 def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
-    """Every sender's broadcast noise vector at iteration t, stacked (m, d)."""
+    """Every sender's broadcast noise vector at iteration t, stacked (m, d):
+    the next block of the run's ``tag`` stream.  Each round calls this once
+    per tag, so that block is iteration t's."""
     prob, noise = state.problem, state.schedules.noise
-    if not state.noise_enabled:
+    if state.streams is None:
         return np.zeros((prob.m, prob.d))
     profile = noise.zeta if tag == TAG_ZETA else noise.xi
-    return noise_vector(state.seed, t, tag, profile.value(t), prob.m, prob.d)
+    return noise_vector(state.streams[tag], profile.value(t), prob.m, prob.d)
 
 
 def _project_ball(points: np.ndarray, radius: float) -> np.ndarray:
@@ -157,8 +159,8 @@ def _line4(state: RunState) -> np.ndarray:
 
 
 def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) -> np.ndarray:
-    """psi_{t+1} from the current state and g(x_{t+1}), with the xi noise
-    keyed at the current iteration.  alpha_t = 0, gamma2_t = 1 gives the
+    """psi_{t+1} from the current state and g(x_{t+1}), with the current
+    iteration's xi noise.  alpha_t = 0, gamma2_t = 1 gives the
     conventional tracker's update bit for bit (the extra terms become exact
     multiplications by 1 and subtractions of 0)."""
     xi = _draw_noise(state, TAG_XI, state.t)
@@ -191,9 +193,9 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
     """Conventional gradient tracking (mixing A = I + W, constant stepsize).
 
     The tracker y is fed directly into the decision update; trackers carry
-    increments of grad2_f / g with no damping or projection ball.  Noise is
-    drawn from the same keyed streams as the main algorithm so robustness
-    comparisons see identical noise."""
+    increments of grad2_f / g with no damping or projection ball.  Each round
+    draws xi then zeta from the run's streams, one block each as the main
+    algorithm does, so robustness comparisons see identical noise."""
     t = state.t
     prob = state.problem
 
@@ -264,12 +266,7 @@ def run(
         """Metrics for the pre-step state (x_t, psi_t, y_t); direction is the
         gradient estimate at x_t."""
         phi = aggregate(prob, x_now)
-        if oracle is not None:
-            diff = x_now - oracle.x_star
-            err = float((diff * diff).sum())
-            err_max = float((diff * diff).sum(axis=1).max())
-        else:
-            err, err_max = math.nan, math.nan
+        err = float(((x_now - oracle.x_star) ** 2).sum()) if oracle is not None else math.nan
         psi_gap = psi_now - phi[None, :]
         y_gap = y_now - y_now.mean(axis=0)[None, :]
         ge = float(((direction - gradF) ** 2).sum()) if direction is not None else 0.0
@@ -283,7 +280,6 @@ def run(
             grad_est_err=ge,
             weighted_avg_gap=(wgap / wsum) if wsum > 0 else fval - f_star,
             weighted_avg_grad=(wgrad / wsum) if wsum > 0 else float((gradF**2).sum()),
-            err_x_agent_max=err_max,
             diverged=state.diverged_at is not None,
         )
 
@@ -313,7 +309,7 @@ def run(
             break
     if state.diverged_at is None:
         # terminal record at t = T; the gradient estimate uses a dry line-4
-        # evaluation (noise keyed at iteration T, state not advanced)
+        # evaluation (the next zeta block, state not advanced)
         fval = F_value(prob, state.x)
         gradF = F_grad(prob, state.x)
         direction = gradient_estimate(state, _line4(state)) if T > 0 else None

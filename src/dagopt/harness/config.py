@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("T must be >= 0 and stride >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not all(0 <= s < 1 << 64 for s in self.seeds):  # the noise streams' key range
+            raise ConfigError(f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
         if not (0 < self.edge_weight < math.inf):
             raise ConfigError(f"edge_weight must be finite and > 0, got {self.edge_weight}")
         # inputs a run would ignore: the EV instance always has K_SLOTS hourly

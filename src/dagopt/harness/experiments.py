@@ -203,8 +203,9 @@ def _verdict(records: list[MetricsRecord], diverged_at, t_ref: int, ratio_thresh
 
 
 def run_robustness_experiment(cfg: ExperimentConfig, t_ref: int = 10, ratio_threshold: float = 10.0) -> RobustnessSummary:
-    """Same seeds and the same keyed noise streams feed both integrators;
-    each curve gets a divergence verdict (hard divergence, or terminal error
+    """Both integrators run each seed under the same noise: each draws one
+    zeta and one xi block per round from the streams keyed by the seed.
+    Each curve gets a divergence verdict (hard divergence, or terminal error
     more than ``ratio_threshold`` times the early error)."""
     oracle = centralized_oracle(build_problem(cfg))
     per_seed, verdicts = {}, {}
@@ -388,7 +389,9 @@ def _records_csv(records: list[MetricsRecord]) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory; OS errors become DagoptError."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -411,7 +414,6 @@ def _curve_series(records: list[MetricsRecord], metric: str, label: str) -> Seri
 
 def emit_outputs(summary, out_dir: str) -> list[str]:
     """Write the experiment's CSV/SVG/manifest files; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
 
     def emit(name, text):

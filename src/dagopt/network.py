@@ -175,6 +175,20 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
     raise InfeasibleDegree(f"could not generate a simple connected {k}-regular graph on {m} vertices")
 
 
+def uniform_weights(topology: Topology, edge_weight: float) -> np.ndarray:
+    """The dense uniform-weight matrix -edge_weight * L (L the graph Laplacian), uncertified."""
+    if not (0 < edge_weight < np.inf):
+        raise ValueError(f"edge_weight must be finite and > 0, got {edge_weight}")
+    e = topology.edge_index
+    W = np.zeros((topology.m, topology.m))
+    W[e[:, 0], e[:, 1]] = edge_weight
+    W[e[:, 1], e[:, 0]] = edge_weight
+    np.fill_diagonal(W, -W.sum(axis=1))
+    if W.diagonal().min() == -np.inf:  # then delta_m <= min_i w_ii = -inf
+        raise SpectralViolation(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
+    return W
+
+
 def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     """Uniform-weight mixing matrix for a connected topology.
 
@@ -185,17 +199,9 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     ecc = topology.eccentricity()
     if ecc is None:
         raise DisconnectedTopology(f"topology on {topology.m} agents is not connected")
-    if not (0 < edge_weight < np.inf):
-        raise ValueError(f"edge_weight must be finite and > 0, got {edge_weight}")
     m = topology.m
     e = topology.edge_index
-    W = np.zeros((m, m))
-    W[e[:, 0], e[:, 1]] = edge_weight
-    W[e[:, 1], e[:, 0]] = edge_weight
-    np.fill_diagonal(W, -W.sum(axis=1))
-    diag = np.diag(W)
-    if diag.min() == -np.inf:  # delta_m <= min_i w_ii = -inf
-        raise SpectralViolation(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
+    W = uniform_weights(topology, edge_weight)
     deg = topology.degrees()
     # Anderson-Morley for delta_m; Mohar with diam <= 2 ecc(0) for delta_2
     band = edge_weight * float((deg[e[:, 0]] + deg[e[:, 1]]).max(initial=0)) < 1.0 - _SPECTRAL_TOL
@@ -206,7 +212,7 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
             raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
         if m > 1 and eig[1] >= -_SPECTRAL_TOL:
             raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
-    w_hat = float(np.min(np.abs(diag))) if m > 1 else 0.0
+    w_hat = float(np.min(np.abs(np.diag(W)))) if m > 1 else 0.0
     return WeightMatrix(matrix=W, w_hat=w_hat)
 
 

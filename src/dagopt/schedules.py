@@ -1,4 +1,4 @@
-"""Decaying sequences, keyed Laplace noise draws, and the expanding ball radius.
+"""Decaying sequences, Laplace noise streams, and the expanding ball radius.
 
 All tunable sequences are power laws  value(t) = base / (t+1)^exponent.
 The algorithm consumes five of them: the stepsize lambda_t, the damping
@@ -8,10 +8,11 @@ noise standard deviations sigma_{t,zeta} / sigma_{t,xi}.
 Noise convention: a std-dev sigma maps to a per-element Laplace scale
 nu = sigma / sqrt(2), so each element has variance 2 nu^2 = sigma^2.
 
-Determinism: each iteration draws the noise of every agent at once, from
-one counter-based generator (Philox) keyed by (seed, iteration, tag), so
-sequential and parallel execution produce bit-identical noise.  Seeds lie in
-[0, 2^64) and iterations below 2^62; the number of agents is not limited.
+Determinism: a run owns two counter-based generators (Philox), one per
+tag, keyed by (seed, tag) with seeds in [0, 2^64).  Each iteration draws the
+noise of every agent at once as the next block of each stream, so a run's
+noise depends only on its seed and the order of its rounds, never on how
+runs are spread over processes.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ class DecayProfile:
         return self.base / (t + 1.0) ** self.exponent
 
 
-def eval_profile(p: DecayProfile, t: int) -> float:
-    """Evaluate a decay profile at integer iteration t >= 0."""
-    if t < 0:
-        raise ValueError(f"iteration index must be >= 0, got {t}")
-    return p.value(t)
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Std-dev profiles of the two injected noises, shared by all agents.
@@ -73,30 +67,18 @@ class ScheduleSet:
 # deterministic noise draws
 # ---------------------------------------------------------------------------
 
-_T_BITS = 62
+
+def noise_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The zeta and xi generators of one run, indexed by tag: Philox keyed
+    seed<<64 | tag.  Philox rejects keys outside [0, 2^128), so a seed
+    outside [0, 2^64) raises instead of aliasing another seed's streams."""
+    return tuple(np.random.Generator(np.random.Philox(key=(seed << 64) | tag)) for tag in (TAG_ZETA, TAG_XI))
 
 
-def _stream_key(seed: int, t: int, tag: int) -> int:
-    """128-bit Philox key: seed in the high word; t and tag packed into 62
-    and 2 bits of the low word.  Out-of-range fields raise instead of
-    wrapping, since a wrapped field would alias another key."""
-    if not (0 <= tag <= 1):
-        raise ValueError("tag must be 0 (zeta) or 1 (xi)")
-    if not (0 <= t < 1 << _T_BITS):
-        raise ValueError(f"iteration {t} does not fit the stream key (must be in [0, 2**{_T_BITS}))")
-    if not (0 <= seed < 1 << 64):
-        raise ValueError(f"seed {seed} does not fit the stream key (must be in [0, 2**64))")
-    return (seed << 64) | (t << 2) | tag
-
-
-def noise_vector(seed: int, t: int, tag: int, sigma: float, m: int, dim: int) -> np.ndarray:
-    """Keyed broadcast noise of all m senders at one iteration, stacked
-    (m, dim): row j is sender j's vector.
-
-    One counter-based generator keyed (seed, t, tag) fills the rows in
-    order, so a sender's row does not depend on how many senders follow it.
-    ``sigma`` is the std-dev sigma_t; the per-element scale is sigma/sqrt(2)."""
-    rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, t, tag)))
+def noise_vector(rng: np.random.Generator, sigma: float, m: int, dim: int) -> np.ndarray:
+    """The next broadcast noise block of all m senders from ``rng``, stacked
+    (m, dim): row j is sender j's vector.  ``sigma`` is the std-dev sigma_t;
+    the per-element scale is sigma/sqrt(2)."""
     return rng.laplace(scale=sigma / math.sqrt(2.0), size=(m, dim))
 
 

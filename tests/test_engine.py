@@ -14,7 +14,7 @@ from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology
 from dagopt.problems.base import F_grad, F_value
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.synthetic import synthetic_problem
-from dagopt.schedules import TAG_XI, TAG_ZETA
+from dagopt.schedules import TAG_XI, TAG_ZETA, noise_vector
 
 
 def small_setup(m=6, noise=True, seed=0, problem=None):
@@ -176,6 +176,43 @@ class TestRun:
         assert st.diverged_at is None
 
 
+class TestNoiseDraws:
+    """Each stream yields its blocks in round order, so a second draw of a tag
+    within a round would shift every later round's noise."""
+
+    T = 6
+
+    def draws(self, monkeypatch, stepper, noise=True):
+        """The (tag, block) of every draw a T-round run makes, in order."""
+        calls = []
+
+        def spy(rng, *args):
+            block = noise_vector(rng, *args)
+            calls.append((rng, block))
+            return block
+
+        monkeypatch.setattr(engine, "noise_vector", spy)
+        _, _, _, st = small_setup(seed=2, noise=noise)
+        engine.run(st, T=self.T, stride=2, stepper=stepper)
+        return [(st.streams.index(rng), block) for rng, block in calls]
+
+    @pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+    def test_one_draw_per_tag_per_round_plus_the_terminal_zeta(self, monkeypatch, stepper):
+        tags = [tag for tag, _ in self.draws(monkeypatch, stepper)]
+        assert len(tags) == 2 * self.T + 1
+        assert tags.count(TAG_ZETA) == self.T + 1 and tags.count(TAG_XI) == self.T
+
+    def test_noise_free_run_draws_nothing(self, monkeypatch):
+        assert self.draws(monkeypatch, "alg1", noise=False) == []
+
+    def test_both_steppers_receive_the_same_blocks(self, monkeypatch):
+        alg1, base = (self.draws(monkeypatch, stepper) for stepper in ("alg1", "baseline"))
+        for tag in (TAG_ZETA, TAG_XI):
+            a = [block for t, block in alg1 if t == tag]
+            b = [block for t, block in base if t == tag]
+            assert len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
 class TestBaseline:
     def test_zero_stepsize_freezes_decisions(self):
         _, _, _, st = small_setup(noise=True)
@@ -200,17 +237,18 @@ class TestBaseline:
 def reference_rounds(prob, W, sch, seed, T, stepper):
     """The rounds of ``engine.step`` / ``step_baseline`` written out with the
     per-row-loop projection, mixing one neighbour at a time in ascending
-    index order and a Philox generator keyed seed<<64 | t<<2 | tag built here
-    for each round's noise; yields (x, y, psi) per round."""
+    index order and, per tag, a Philox generator keyed seed<<64 | tag built
+    here and drawn once per round; yields (x, y, psi) per round."""
     spec = prob.meta["spec"]
 
     def project(points):
         return legacy_project_box_budget_batch(points, spec.x_max, spec.E)
 
+    rngs = {tag: np.random.Generator(np.random.Philox(key=(seed << 64) | tag)) for tag in (TAG_ZETA, TAG_XI)}
+
     def noise(tag, t):
         profile = sch.noise.zeta if tag == TAG_ZETA else sch.noise.xi
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (t << 2) | tag))
-        return rng.laplace(scale=profile.value(t) / math.sqrt(2.0), size=(prob.m, prob.d))
+        return rngs[tag].laplace(scale=profile.value(t) / math.sqrt(2.0), size=(prob.m, prob.d))
 
     x = project(np.zeros((prob.m, prob.n)))
     psi = prob.eval_g_all(x)

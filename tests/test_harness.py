@@ -246,9 +246,9 @@ class TestEmission:
         for col in ("err_x", "gap_F"):
             assert all(row[header.index(col)] == "nan" for row in rows), col
         # the fitted grad_norm_sq slope does not depend on F*; pinned to the
-        # noise drawn once per (seed, iteration, tag)
+        # noise drawn from one stream per (seed, tag)
         assert summary.slope_metric == "grad_norm_sq"
-        assert summary.slope == pytest.approx(0.0010695915423382996, rel=1e-9)
+        assert summary.slope == pytest.approx(0.0005647712051968013, rel=1e-9)
 
     def test_repeat_emission_identical_bytes(self, tmp_path):
         cfg = dataclasses.replace(default_config(), T=40, stride=10, seeds=(0,))
@@ -303,6 +303,18 @@ class TestCli:
         save_edgelist(generate_k_regular(12, 4, seed=0), path)
         assert cli.main(["validate-graph", str(path), "--edge-weight", "0.12"]) == 0
 
+    def test_validate_graph_reports_a_matrix_outside_the_band(self, tmp_path, capsys):
+        # K10 at 0.12 has delta_m = -1.2: the diagnostic prints its
+        # certificate instead of refusing to build the matrix
+        from dagopt.network import complete_topology, save_edgelist
+
+        path = tmp_path / "k10.edges"
+        save_edgelist(complete_topology(10), path)
+        assert cli.main(["validate-graph", str(path), "--edge-weight", "0.12"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "violation: smallest eigenvalue -1.2 <= -1" in out
+        assert out[-1] == "FAIL"
+
     def test_privacy_report_subcommand(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(
@@ -311,6 +323,17 @@ class TestCli:
             "[schedules]\npreset = sec5-truthful\n"
         )
         assert cli.main(["privacy-report", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("command,kind", [("run", "convergence"), ("privacy-report", "privacy-report")])
+    def test_output_dir_naming_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, command, kind):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(f"[experiment]\nkind = {kind}\nT = 5\nseeds = 0\noutput_dir = {blocker}\n"
+                            "[schedules]\npreset = sec5-truthful\n")
+        assert cli.main([command, str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output file "), err
 
     def test_assertion_failure_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
@@ -330,9 +353,10 @@ class TestCli:
             "[experiment]\nkind = convergence\n[problem]\nproblem = ev\nn = 4\nd = 4\n",
             *(f"[experiment]\nkind = convergence\nT = 5\n[problem]\nm = 6\n[topology]\ntopology = ring\nedge_weight = {w}\n"
               for w in ("0", "inf", "1e308")),
+            *(f"[experiment]\nkind = convergence\nT = 5\nseeds = {s}\n" for s in ("-1", "18446744073709551616")),
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
-             "edge-weight-0", "edge-weight-inf", "edge-weight-1e308"],
+             "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))
