@@ -17,6 +17,13 @@ iteration takes the next block of each, holding every sender's vector (row j
 is sender j).  Both steppers draw each tag once per round, so runs of one
 seed see the same zeta_t and xi_t whichever stepper they use.
 
+``run`` evaluates F(x_t) and grad F(x_t), which the records and the
+lambda-weighted averages need, once per block of iterates rather than once
+per round: it keeps a reference to each pre-step x_t (``step`` replaces the
+state's arrays and never writes into them) and stacks a block of them into
+one (B, m, n) call.  B is bounded by METRICS_BLOCK_ELEMENTS, so a block costs
+memory only where m is small.
+
 The conventional gradient-tracking baseline (step_baseline) mixes with
 A = I + W, feeds y directly into the decision update, uses a constant
 stepsize, and has no projection ball / decaying attenuation — it is the
@@ -37,6 +44,9 @@ from .problems.oracle import OracleSolution
 from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, ScheduleSet, noise_streams, noise_vector
 
 DIVERGENCE_THRESHOLD = 1e12
+# Bound on the elements of one stacked block of iterates, B * m * max(n, d),
+# that `run` evaluates F and grad F on in one call (see `metrics_block`).
+METRICS_BLOCK_ELEMENTS = 4096
 
 
 @dataclass
@@ -230,6 +240,13 @@ def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
     state.t += 1
 
 
+def metrics_block(problem: AggregativeProblem) -> int:
+    """Iterates per metrics evaluation in `run`: as many as keep a block's
+    (B, m, max(n, d)) arrays within METRICS_BLOCK_ELEMENTS, and at least one.
+    31 at m = 10, n = d = 13; 1 from m = 316 up."""
+    return max(1, METRICS_BLOCK_ELEMENTS // (problem.m * max(problem.n, problem.d)))
+
+
 @dataclass
 class RunResult:
     records: list[MetricsRecord]
@@ -251,18 +268,36 @@ def run(
     """T rounds with a metrics record every ``stride`` iterations (plus t=0
     and t=T).  Weighted averages sum lambda_t * metric / sum lambda_t are
     accumulated over every iteration.  On divergence the log is partial and
-    flagged."""
+    flagged.
+
+    F(x_t) and grad F(x_t) are evaluated per block of iterates: the rounds
+    that need them (every round when ``track_weighted``, else the record
+    rounds) keep a reference to x_t, and every ``metrics_block(problem)``
+    of them are stacked and evaluated in one call each.  The block is then
+    walked in round order, so the weighted sums accumulate in the same order
+    and every record is the one a per-round evaluation gives."""
     if T < 0:
         raise ValueError("T must be >= 0")
+    if stepper == "alg1":
+        advance = step
+    elif stepper == "baseline":
+        def advance(st):
+            return step_baseline(st, lam=baseline_lambda)
+    else:
+        raise ValueError(f"unknown stepper {stepper!r}")
     prob = state.problem
+    lam = state.schedules.lam
+    block = metrics_block(prob)
     records: list[MetricsRecord] = []
+    # (t, x_t, weighted, (psi_t, y_t, direction) on a record round else None)
+    pending: list[tuple] = []
     wsum = 0.0
     wgap = 0.0
     wgrad = 0.0
     # with no oracle (nonconvex problems) there is no F* to measure a gap from
     f_star = oracle.F_star if oracle is not None else math.nan
 
-    def snapshot(t, x_now, psi_now, y_now, fval, gradF, direction):
+    def snapshot(t, x_now, psi_now, y_now, direction, fval, gradF, grad_sq):
         """Metrics for the pre-step state (x_t, psi_t, y_t); direction is the
         gradient estimate at x_t."""
         phi = aggregate(prob, x_now)
@@ -274,46 +309,52 @@ def run(
             t=t,
             err_x=err,
             gap_F=fval - f_star,
-            grad_norm_sq=float((gradF**2).sum()),
+            grad_norm_sq=grad_sq,
             psi_consensus=float((psi_gap**2).sum()),
             y_consensus=float((y_gap**2).sum()),
             grad_est_err=ge,
             weighted_avg_gap=(wgap / wsum) if wsum > 0 else fval - f_star,
-            weighted_avg_grad=(wgrad / wsum) if wsum > 0 else float((gradF**2).sum()),
-            diverged=state.diverged_at is not None,
+            weighted_avg_grad=(wgrad / wsum) if wsum > 0 else grad_sq,
         )
+
+    def flush():
+        nonlocal wsum, wgap, wgrad
+        if not pending:
+            return
+        xs = np.stack([x_t for _, x_t, _, _ in pending])
+        fvals = F_value(prob, xs)
+        grads = F_grad(prob, xs)
+        for (t, x_t, weighted, rec), fval, gradF in zip(pending, fvals, grads):
+            fval = float(fval)
+            grad_sq = float((gradF**2).sum())
+            if weighted:
+                lam_t = lam.value(t)
+                wsum += lam_t
+                wgap += lam_t * (fval - f_star)
+                wgrad += lam_t * grad_sq
+            if rec is not None:
+                records.append(snapshot(t, x_t, *rec, fval, gradF, grad_sq))
+        pending.clear()
 
     for t_iter in range(T):
         record_now = (t_iter % stride == 0)
-        pre = (state.x, state.psi, state.y)  # step replaces these arrays, never writes into them
+        x_t, psi_t, y_t = state.x, state.psi, state.y  # step replaces these arrays, never writes into them
+        direction = advance(state)
         if record_now or track_weighted:
-            fval = F_value(prob, state.x)
-            gradF = F_grad(prob, state.x)
-        if track_weighted:
-            lam_t = state.schedules.lam.value(t_iter)
-            wsum += lam_t
-            wgap += lam_t * (fval - f_star)
-            wgrad += lam_t * float((gradF**2).sum())
-        if stepper == "alg1":
-            direction = step(state)
-        elif stepper == "baseline":
-            direction = step_baseline(state, lam=baseline_lambda)
-        else:
-            raise ValueError(f"unknown stepper {stepper!r}")
-        if record_now:
-            records.append(snapshot(t_iter, *pre, fval, gradF, direction))
+            pending.append((t_iter, x_t, track_weighted, (psi_t, y_t, direction) if record_now else None))
         if state.diverged_at is not None:
-            # flag and stop: the log is partial by design
-            if records:
-                records[-1].diverged = True
             break
+        if len(pending) == block:
+            flush()
     if state.diverged_at is None:
         # terminal record at t = T; the gradient estimate uses a dry line-4
         # evaluation (the next zeta block, state not advanced)
-        fval = F_value(prob, state.x)
-        gradF = F_grad(prob, state.x)
         direction = gradient_estimate(state, _line4(state)) if T > 0 else None
-        records.append(snapshot(state.t, state.x, state.psi, state.y, fval, gradF, direction))
+        pending.append((state.t, state.x, False, (state.psi, state.y, direction)))
+    flush()
+    if state.diverged_at is not None and records:
+        # flagged and stopped: the log is partial by design
+        records[-1].diverged = True
     return RunResult(
         records=records,
         final_state=state,
@@ -321,4 +362,3 @@ def run(
         weighted_avg_gap=(wgap / wsum) if wsum > 0 else math.nan,
         weighted_avg_grad=(wgrad / wsum) if wsum > 0 else math.nan,
     )
-

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .. import privacy
-from ..errors import DagoptError
+from ..errors import ConfigError, DagoptError
 from ..network import load_edgelist, uniform_weights, validate_assumption2
 from ..problems import finite_diff_check
 from ..problems.gradcheck import random_interior_point
@@ -79,12 +79,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_graph(args) -> int:
     topo = load_edgelist(args.edgelist)
+    try:
+        # uncertified, so that a matrix outside the band is reported, not rejected
+        W = uniform_weights(topo, args.edge_weight)
+    except ValueError as exc:  # a weight outside (0, inf)
+        raise ConfigError(str(exc)) from None
     print(f"agents: {topo.m}, edges: {len(topo.edges)}, connected: {topo.is_connected()}")
     if not topo.is_connected():
         print("FAIL: graph is disconnected")
         return EXIT_FAIL
-    # uncertified, so that a matrix outside the band is reported, not rejected
-    cert = validate_assumption2(uniform_weights(topo, args.edge_weight))
+    cert = validate_assumption2(W)
     print(f"second-largest |eigenvalue| offset delta2 = {cert.delta2:.6g}")
     for v in cert.violations:
         print(f"violation: {v}")

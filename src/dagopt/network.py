@@ -231,6 +231,8 @@ def validate_assumption2(W: np.ndarray | WeightMatrix) -> Certificate:
     violations: list[str] = []
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return Certificate(False, None, ("matrix is not square",))
+    if not np.isfinite(A).all():  # no eigen-solve can converge on it
+        return Certificate(False, None, ("non-finite entry",))
     m = A.shape[0]
     row = np.abs(A.sum(axis=1)).max()
     col = np.abs(A.sum(axis=0)).max()

@@ -12,6 +12,11 @@ Conventions
 - x is stacked as an (m, n) array (uniform per-agent dimension n).
 - psi is stacked as an (m, d) array: row i is the aggregate estimate at
   which agent i evaluates its own f_i.
+- f_all, g_all, grad1_all, grad2_all and gg_apply_all, and with them
+  aggregate, F_value and F_grad, also accept leading batch axes: a
+  (B, m, n) stack of iterates gives, row for row, bit for bit what B
+  separate (m, n) calls give.  The engine evaluates its metrics on such
+  stacks.  project_all is per iterate only.
 - gg_apply_all(x, v) returns the (m, n) stack of products grad_g_i(x^i) @ v^i,
   where grad_g_i(x^i) is the (n, d) Jacobian transpose of g_i.
 - Every problem carries a box [psi_lo, psi_hi] on which f_i(x, .) is defined;
@@ -92,23 +97,28 @@ class AggregativeProblem:
 
 
 def aggregate(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
-    """phi(x) = (1/m) sum_i g_i(x^i)."""
-    return problem.eval_g_all(x).mean(axis=0)
+    """phi(x) = (1/m) sum_i g_i(x^i); (..., m, n) -> (..., d)."""
+    return problem.eval_g_all(x).mean(axis=-2)
 
 
-def F_value(problem: AggregativeProblem, x: np.ndarray) -> float:
-    phi = aggregate(problem, x)
-    psi = np.broadcast_to(phi, (problem.m, problem.d))
-    return float(problem.eval_f_all(x, psi).sum())
+def _per_agent(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi broadcast to every agent's row of x: (..., d) -> (..., m, d)."""
+    return np.broadcast_to(phi[..., None, :], x.shape[:-1] + phi.shape[-1:])
+
+
+def F_value(problem: AggregativeProblem, x: np.ndarray) -> float | np.ndarray:
+    """F(x) = sum_i f_i(x^i, phi(x)): a float for one (m, n) iterate, a
+    (B,) array for a (B, m, n) stack."""
+    psi = _per_agent(aggregate(problem, x), x)
+    vals = problem.eval_f_all(x, psi).sum(axis=-1)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def F_grad(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
-    """Full-information gradient of F, stacked (m, n).
+    """Full-information gradient of F, stacked like x: (..., m, n).
 
     grad F(x)^i = grad1_f_i(x^i, phi) + grad_g_i(x^i) @ mean_j grad2_f_j(x^j, phi).
     """
-    phi = aggregate(problem, x)
-    psi = np.broadcast_to(phi, (problem.m, problem.d))
-    g2bar = problem.eval_grad2_all(x, psi).mean(axis=0)
-    v = np.broadcast_to(g2bar, (problem.m, problem.d))
-    return problem.eval_grad1_all(x, psi) + problem.apply_grad_g_all(x, v)
+    psi = _per_agent(aggregate(problem, x), x)
+    g2bar = problem.eval_grad2_all(x, psi).mean(axis=-2)
+    return problem.eval_grad1_all(x, psi) + problem.apply_grad_g_all(x, _per_agent(g2bar, x))

@@ -136,7 +136,7 @@ def ev_problem(spec: EVChargingSpec, psi_cap: float | None = None) -> Aggregativ
         return dcoeff * np.clip(psi, 0.0, cap) ** (pexp - 1.0)
 
     def f_all(x, psi):
-        return np.einsum("ik,ik->i", price(psi), x + spec.d)
+        return np.einsum("...ik,...ik->...i", price(psi), x + spec.d)
 
     def g_all(x):
         return scale * (x + spec.d)

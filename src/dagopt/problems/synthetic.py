@@ -58,7 +58,7 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         def f_all(x, psi):
             r = clamp(psi) - b
             dx = x - a
-            return 0.5 * np.einsum("in,in->i", dx, dx) + 0.5 * np.einsum("id,id->i", r, r)
+            return 0.5 * np.einsum("...in,...in->...i", dx, dx) + 0.5 * np.einsum("...id,...id->...i", r, r)
 
         def grad1_all(x, psi):
             return x - a
@@ -67,9 +67,9 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
 
         def f_all(x, psi):
             r = clamp(psi) - b
-            vals = np.einsum("in,in->i", q, x) + 0.5 * np.einsum("id,id->i", r, r)
+            vals = np.einsum("in,...in->...i", q, x) + 0.5 * np.einsum("...id,...id->...i", r, r)
             if kappa:
-                vals = vals + kappa * np.sin(x).sum(axis=1)
+                vals = vals + kappa * np.sin(x).sum(axis=-1)
             return vals
 
         def grad1_all(x, psi):
@@ -82,10 +82,10 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         return (clamp(psi) - b) * inside(psi)
 
     def g_all(x):
-        return np.einsum("idn,in->id", A, x) + c
+        return np.einsum("idn,...in->...id", A, x) + c
 
     def gg_apply_all(x, v):
-        return np.einsum("idn,id->in", A, v)
+        return np.einsum("idn,...id->...in", A, v)
 
     def project_all(x):
         return np.clip(x, -1.0, 1.0)

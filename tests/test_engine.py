@@ -1,5 +1,6 @@
 """Synchronous-round integrator: update order, exact identities, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from test_problems import legacy_project_box_budget_batch
 from dagopt import engine
 from dagopt.harness.config import build_schedules, default_config
 from dagopt.harness.experiments import _records_csv
-from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology
-from dagopt.problems.base import F_grad, F_value
+from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology, generate_k_regular
+from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
+from dagopt.problems.oracle import centralized_oracle
 from dagopt.problems.synthetic import synthetic_problem
 from dagopt.schedules import TAG_XI, TAG_ZETA, noise_vector
 
@@ -305,3 +307,152 @@ def test_rounds_bit_identical_to_reference_loop(stepper):
         assert np.array_equal(state.y, y), rounds
         assert np.array_equal(state.psi, psi), rounds
     assert rounds == 20 and state.diverged_at is None
+
+
+def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=0.01, track_weighted=True):
+    """The per-round loop that ``engine.run`` replaced, kept as its
+    bit-for-bit reference: F(x_t) and grad F(x_t) are evaluated on every
+    round that needs them, one (m, n) iterate at a time."""
+    prob = state.problem
+    records = []
+    wsum = wgap = wgrad = 0.0
+    f_star = oracle.F_star if oracle is not None else math.nan
+
+    def snapshot(t, x_now, psi_now, y_now, fval, gradF, direction):
+        phi = aggregate(prob, x_now)
+        err = float(((x_now - oracle.x_star) ** 2).sum()) if oracle is not None else math.nan
+        psi_gap = psi_now - phi[None, :]
+        y_gap = y_now - y_now.mean(axis=0)[None, :]
+        ge = float(((direction - gradF) ** 2).sum()) if direction is not None else 0.0
+        return engine.MetricsRecord(
+            t=t,
+            err_x=err,
+            gap_F=fval - f_star,
+            grad_norm_sq=float((gradF**2).sum()),
+            psi_consensus=float((psi_gap**2).sum()),
+            y_consensus=float((y_gap**2).sum()),
+            grad_est_err=ge,
+            weighted_avg_gap=(wgap / wsum) if wsum > 0 else fval - f_star,
+            weighted_avg_grad=(wgrad / wsum) if wsum > 0 else float((gradF**2).sum()),
+            diverged=state.diverged_at is not None,
+        )
+
+    for t_iter in range(T):
+        record_now = t_iter % stride == 0
+        pre = (state.x, state.psi, state.y)
+        if record_now or track_weighted:
+            fval = F_value(prob, state.x)
+            gradF = F_grad(prob, state.x)
+        if track_weighted:
+            lam_t = state.schedules.lam.value(t_iter)
+            wsum += lam_t
+            wgap += lam_t * (fval - f_star)
+            wgrad += lam_t * float((gradF**2).sum())
+        if stepper == "alg1":
+            direction = engine.step(state)
+        else:
+            direction = engine.step_baseline(state, lam=baseline_lambda)
+        if record_now:
+            records.append(snapshot(t_iter, *pre, fval, gradF, direction))
+        if state.diverged_at is not None:
+            if records:
+                records[-1].diverged = True
+            break
+    if state.diverged_at is None:
+        fval = F_value(prob, state.x)
+        gradF = F_grad(prob, state.x)
+        direction = engine.gradient_estimate(state, engine._line4(state)) if T > 0 else None
+        records.append(snapshot(state.t, state.x, state.psi, state.y, fval, gradF, direction))
+    return engine.RunResult(
+        records=records,
+        final_state=state,
+        diverged_at=state.diverged_at,
+        weighted_avg_gap=(wgap / wsum) if wsum > 0 else math.nan,
+        weighted_avg_grad=(wgrad / wsum) if wsum > 0 else math.nan,
+    )
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same_run(blocked, legacy):
+    assert blocked.diverged_at == legacy.diverged_at
+    assert len(blocked.records) == len(legacy.records)
+    for rb, rl in zip(blocked.records, legacy.records):
+        for field in dataclasses.fields(engine.MetricsRecord):
+            vb, vl = getattr(rb, field.name), getattr(rl, field.name)
+            assert (vb == vl) if field.name in ("t", "diverged") else same_float(vb, vl), (rb.t, field.name, vb, vl)
+    assert same_float(blocked.weighted_avg_gap, legacy.weighted_avg_gap)
+    assert same_float(blocked.weighted_avg_grad, legacy.weighted_avg_grad)
+
+
+class TestBlockedMetrics:
+    """``engine.run`` evaluates F and grad F per block of iterates; every
+    record field and both weighted averages equal the per-round loop's."""
+
+    M = 10
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        W = build_weight_matrix(generate_k_regular(self.M, 4, seed=0), 0.12)
+        out = {}
+        for kind in ("strongly-convex", "nonconvex"):
+            prob = synthetic_problem(kind, self.M, 13, 13, seed=0)
+            oracle = centralized_oracle(prob) if kind == "strongly-convex" else None
+            out[kind] = (prob, W, oracle)
+        return out
+
+    def both(self, instances, kind="strongly-convex", seed=1, **kwargs):
+        prob, W, oracle = instances[kind]
+        sch = build_schedules(default_config(), dim=prob.d)
+        if kind == "strongly-convex":
+            kwargs.setdefault("oracle", oracle)
+        runs = []
+        for runner in (engine.run, legacy_run):
+            state = engine.init_run(prob, W, sch, seed=seed)
+            runs.append(runner(state, **kwargs))
+        return runs
+
+    def test_block_size_under_the_element_bound(self, instances):
+        prob = instances["strongly-convex"][0]
+        assert engine.metrics_block(prob) == 31
+        assert engine.metrics_block(ev_problem(desk_ev_spec(316))) == 1
+        assert engine.metrics_block(ev_problem(desk_ev_spec(315))) == 1
+        assert engine.metrics_block(ev_problem(desk_ev_spec(157))) == 2
+
+    @pytest.mark.parametrize("T, stride", [(100, 7), (20, 1), (0, 1), (62, 1), (93, 31), (62, 5)])
+    def test_records_equal_the_per_round_loop(self, instances, T, stride):
+        assert_same_run(*self.both(instances, T=T, stride=stride))
+
+    def test_unweighted_run_with_stride_T(self, instances):
+        # the truthfulness experiment's call: records at t = 0 and t = T only
+        blocked, legacy = self.both(instances, T=40, stride=40, track_weighted=False)
+        assert [r.t for r in blocked.records] == [0, 40]
+        assert_same_run(blocked, legacy)
+
+    def test_baseline_stepper(self, instances):
+        assert_same_run(*self.both(instances, T=70, stride=3, stepper="baseline", baseline_lambda=0.05))
+
+    def test_nonconvex_without_oracle(self, instances):
+        blocked, legacy = self.both(instances, kind="nonconvex", T=50, stride=4)
+        assert math.isnan(blocked.records[-1].gap_F) and math.isnan(blocked.weighted_avg_gap)
+        assert_same_run(blocked, legacy)
+
+    @pytest.mark.parametrize("blow_up_at", [40, 42])
+    def test_divergence_mid_block(self, instances, monkeypatch, blow_up_at):
+        # round blow_up_at starts from an exploded tracker; round 40 is not a
+        # record round at stride 3, round 42 is
+        real_step = engine.step
+
+        def exploding_step(st):
+            if st.t == blow_up_at:
+                st.y = st.y + 1e13
+            return real_step(st)
+
+        monkeypatch.setattr(engine, "step", exploding_step)
+        blocked, legacy = self.both(instances, T=100, stride=3)
+        assert blocked.diverged_at == blow_up_at + 1
+        assert [r.t for r in blocked.records] == list(range(0, blow_up_at + 1, 3))
+        assert [r.diverged for r in blocked.records] == [False] * (len(blocked.records) - 1) + [True]
+        assert_same_run(blocked, legacy)

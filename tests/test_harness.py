@@ -303,6 +303,17 @@ class TestCli:
         save_edgelist(generate_k_regular(12, 4, seed=0), path)
         assert cli.main(["validate-graph", str(path), "--edge-weight", "0.12"]) == 0
 
+    @pytest.mark.parametrize("weight", ["0", "nan", "inf", "-0.1"])
+    def test_validate_graph_bad_edge_weight_exits_2_with_one_error_line(self, tmp_path, capsys, weight):
+        from dagopt.network import complete_topology, save_edgelist
+
+        path = tmp_path / "k10.edges"
+        save_edgelist(complete_topology(10), path)
+        assert cli.main(["validate-graph", str(path), "--edge-weight", weight]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: edge_weight must be finite and > 0, got {float(weight)}"]
+
     def test_validate_graph_reports_a_matrix_outside_the_band(self, tmp_path, capsys):
         # K10 at 0.12 has delta_m = -1.2: the diagnostic prints its
         # certificate instead of refusing to build the matrix

@@ -5,6 +5,7 @@ import pytest
 
 from dagopt.errors import DisconnectedTopology, InfeasibleDegree, SpectralViolation
 from dagopt.network import (
+    Certificate,
     Topology,
     WeightMatrix,
     build_weight_matrix,
@@ -220,6 +221,18 @@ class TestWeightMatrix:
         cert = validate_assumption2(bad)
         assert not cert.ok
         assert cert.violations
+
+    @pytest.mark.parametrize("case", ["k10-overflowed", "inf-pair"])
+    def test_certificate_flags_non_finite_matrix(self, case):
+        # neither may raise: K10 at weight 1e308 overflows its diagonal to
+        # -inf (an eigen-solve raises LinAlgError), and the infinite pair
+        # gave a NaN delta2 that passed
+        if case == "k10-overflowed":
+            bad = np.full((10, 10), 1e308)
+            np.fill_diagonal(bad, -np.inf)
+        else:
+            bad = np.array([[-np.inf, np.inf], [np.inf, -np.inf]])
+        assert validate_assumption2(bad) == Certificate(False, None, ("non-finite entry",))
 
     def test_certificate_verdicts_unaffected_by_offdiag(self):
         good = build_weight_matrix(ring_topology(8), 0.2)

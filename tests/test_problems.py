@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagopt.engine import metrics_block
 from dagopt.errors import InfeasibleBudget, PointTooCloseToBoundary
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
@@ -329,6 +330,60 @@ class TestSynthetic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(Exception):
             synthetic_problem("cubic", 4, 2, 2, seed=0)
+
+
+class TestBatchAxes:
+    """A (B, m, n) stack of iterates gives, row for row and bit for bit, what B
+    separate (m, n) calls give: the engine evaluates its metrics on stacks and
+    writes the same bytes as a per-round evaluation."""
+
+    @staticmethod
+    def problem(kind):
+        if kind == "ev":
+            return ev_problem(desk_ev_spec(10))
+        return synthetic_problem(kind, 10, 13, 13, seed=1)
+
+    @staticmethod
+    def operands(prob, B):
+        """x, psi and v stacks; x spans the box and beyond, psi both sides of
+        its clamp box."""
+        rng = np.random.default_rng(B)
+        shape_x, shape_d = (B, prob.m, prob.n), (B, prob.m, prob.d)
+        if prob.name == "ev-charging":
+            x = rng.uniform(-0.1, 1.1, shape_x) * prob.meta["spec"].x_max
+        else:
+            x = rng.uniform(-1.2, 1.2, shape_x)
+        span = prob.psi_hi - prob.psi_lo
+        psi = prob.psi_lo + rng.uniform(-0.2, 1.2, shape_d) * span
+        return x, psi, rng.normal(size=shape_d)
+
+    @pytest.mark.parametrize("kind", ["ev", "strongly-convex", "convex", "nonconvex"])
+    @pytest.mark.parametrize("block", ["one", "engine"])
+    def test_stack_equals_separate_calls(self, kind, block):
+        prob = self.problem(kind)
+        B = 1 if block == "one" else metrics_block(prob)
+        x, psi, v = self.operands(prob, B)
+        calls = {
+            "f_all": (prob.f_all, (x, psi)),
+            "g_all": (prob.g_all, (x,)),
+            "grad1_all": (prob.grad1_all, (x, psi)),
+            "grad2_all": (prob.grad2_all, (x, psi)),
+            "gg_apply_all": (prob.gg_apply_all, (x, v)),
+            "F_value": (lambda x: F_value(prob, x), (x,)),
+            "F_grad": (lambda x: F_grad(prob, x), (x,)),
+            "aggregate": (lambda x: aggregate(prob, x), (x,)),
+        }
+        for name, (fn, args) in calls.items():
+            stacked = fn(*args)
+            assert len(stacked) == B, name
+            for b in range(B):
+                single = fn(*(a[b] for a in args))
+                assert np.array_equal(stacked[b], single), (name, b)
+
+    def test_F_value_of_one_iterate_is_a_float(self):
+        prob = self.problem("strongly-convex")
+        x, _, _ = self.operands(prob, 1)
+        assert type(F_value(prob, x[0])) is float
 
 
 def gradcheck_problem(kind):
