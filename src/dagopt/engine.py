@@ -33,11 +33,11 @@ noise-vulnerable reference for the robustness comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DagoptError
 from .network import WeightMatrix
 from .problems.base import AggregativeProblem, F_grad, F_value, aggregate
 from .problems.oracle import OracleSolution
@@ -79,17 +79,7 @@ class MetricsRecord:
     diverged: bool = False
 
 
-CSV_COLUMNS = (
-    "t",
-    "err_x",
-    "gap_F",
-    "grad_norm_sq",
-    "psi_consensus",
-    "y_consensus",
-    "grad_est_err",
-    "weighted_avg_gap",
-    "weighted_avg_grad",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord) if f.name != "diverged")
 
 
 def init_run(
@@ -104,9 +94,7 @@ def init_run(
 
     ``seed`` keys the run's noise streams (and x0 under random-feasible)."""
     if W.m != problem.m:
-        raise DimensionMismatch(f"W is {W.m}x{W.m} but problem has m={problem.m}")
-    if schedules.noise.dim != problem.d:
-        raise DimensionMismatch(f"noise dim {schedules.noise.dim} != aggregate dim {problem.d}")
+        raise DagoptError(f"W is {W.m}x{W.m} but problem has m={problem.m}")
     m, n = problem.m, problem.n
     if x0_policy == "project-zero":
         x0 = problem.eval_project_all(np.zeros((m, n)))
@@ -136,10 +124,10 @@ def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
     """Every sender's broadcast noise vector at iteration t, stacked (m, d):
     the next block of the run's ``tag`` stream.  Each round calls this once
     per tag, so that block is iteration t's."""
-    prob, noise = state.problem, state.schedules.noise
+    prob, sched = state.problem, state.schedules
     if state.streams is None:
         return np.zeros((prob.m, prob.d))
-    profile = noise.zeta if tag == TAG_ZETA else noise.xi
+    profile = sched.zeta if tag == TAG_ZETA else sched.xi
     return noise_vector(state.streams[tag], profile.value(t), prob.m, prob.d)
 
 

@@ -19,10 +19,6 @@ class InfeasibleDegree(DagoptError):
 
 
 # problems
-class InfeasibleSpec(DagoptError):
-    pass
-
-
 class InfeasibleBudget(DagoptError):
     pass
 
@@ -31,17 +27,8 @@ class PointTooCloseToBoundary(DagoptError):
     pass
 
 
-# engine
-class DimensionMismatch(DagoptError):
-    pass
-
-
 # privacy
 class DenominatorNonpositive(DagoptError):
-    pass
-
-
-class InvalidW(DagoptError):
     pass
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .config import build_instance, build_problem, config_to_text, default_confi
 from .experiments import (
     AdjacentScenario,
     _write,
+    csv_text,
     emit_outputs,
     run_convergence_experiment,
     run_robustness_experiment,
@@ -35,13 +37,14 @@ EXIT_DIVERGED_EXPECTED = 3
 
 
 def _load_cfg(path: str):
-    cfg = parse_config(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    cfg = parse_config(text)
     out = os.environ.get("DAGOPT_OUTPUT_DIR")
-    if out:
-        from dataclasses import replace
-
-        cfg = replace(cfg, output_dir=out)
-    return cfg
+    return replace(cfg, output_dir=out) if out else cfg
 
 
 def _cmd_run(args) -> int:
@@ -78,7 +81,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate_graph(args) -> int:
-    topo = load_edgelist(args.edgelist)
+    try:
+        topo = load_edgelist(args.edgelist)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read edge list {args.edgelist}: {exc}") from None
     try:
         # uncertified, so that a matrix outside the band is reported, not rejected
         W = uniform_weights(topo, args.edge_weight)
@@ -99,16 +105,15 @@ def _cmd_validate_graph(args) -> int:
 def _cmd_privacy_report(args) -> int:
     cfg = _load_cfg(args.config)
     problem, W, schedules = build_instance(cfg)
-    lines = ["regime,condition,left,right,satisfied"]
+    rows = []
     print("== regime conditions ==")
-    all_regimes = privacy.REGIMES
-    for regime in all_regimes:
+    for regime in privacy.REGIMES:
         rc = privacy.check_regime(schedules, regime)
         mark = "PASS" if rc.passed else "fail"
         print(f"[{mark}] {regime}")
         for c in rc.checks:
             print(f"    {'ok ' if c.satisfied else 'NO '} {c.name}: {c.left:.4g} vs {c.right:.4g}")
-            lines.append(f"{regime},{c.name},{c.left!r},{c.right!r},{c.satisfied}")
+            rows.append((regime, c.name, c.left, c.right, c.satisfied))
     try:
         report = privacy.epsilon(cfg.T, schedules, W)
     except DagoptError as exc:
@@ -123,14 +128,16 @@ def _cmd_privacy_report(args) -> int:
           f"+ privacy {eta_rep.privacy_term:.6g})")
     if eta_rep.linearization_exceeded:
         print("note: epsilon outside (0,1); the 2*epsilon linearization in eta is not tight")
-    lines.append(f"epsilon,total,{report.epsilon!r},,")
-    lines.append(f"epsilon,aggregate-tracker,{report.eps_psi!r},,")
-    lines.append(f"epsilon,gradient-tracker,{report.eps_y!r},,")
-    lines.append(f"eta,total,{eta_rep.eta!r},,")
-    lines.append(f"eta,intrinsic,{eta_rep.intrinsic!r},,")
-    lines.append(f"eta,privacy,{eta_rep.privacy_term!r},,")
+    rows += [
+        ("epsilon", "total", report.epsilon, "", ""),
+        ("epsilon", "aggregate-tracker", report.eps_psi, "", ""),
+        ("epsilon", "gradient-tracker", report.eps_y, "", ""),
+        ("eta", "total", eta_rep.eta, "", ""),
+        ("eta", "intrinsic", eta_rep.intrinsic, "", ""),
+        ("eta", "privacy", eta_rep.privacy_term, "", ""),
+    ]
     path = os.path.join(cfg.output_dir, "privacy_report.csv")
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, csv_text(("regime", "condition", "left", "right", "satisfied"), rows))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from ..network import (
 )
 from ..problems import AggregativeProblem, desk_ev_spec, ev_problem, synthetic_problem
 from ..problems.ev import K_SLOTS
-from ..schedules import DecayProfile, NoiseSchedule, ScheduleSet
+from ..schedules import DecayProfile, ScheduleSet
 
 # Named schedule presets:
 #   exponents (u, v, w1, w2, varsigma_zeta, varsigma_xi) with all bases 1.0
@@ -125,8 +125,16 @@ class ExperimentConfig:
         # slots, and the truthfulness experiment always runs the EV instance
         if self.problem == "ev" and (self.n, self.d) != (K_SLOTS, K_SLOTS):
             raise ConfigError(f"problem = ev has {K_SLOTS} hourly slots: n = d = {K_SLOTS}, got {self.n}, {self.d}")
-        if self.kind == "truthfulness" and self.problem != "ev":
-            raise ConfigError(f"kind = truthfulness runs the EV instance: problem must be ev, got {self.problem!r}")
+        if self.kind == "truthfulness":
+            if self.problem != "ev":
+                raise ConfigError(f"kind = truthfulness runs the EV instance: problem must be ev, got {self.problem!r}")
+            agents = self.untruthful_agents
+            if not agents or len(set(agents)) != len(agents) or not all(0 <= i < self.m for i in agents):
+                raise ConfigError(f"untruthful_agents must list distinct agents in [0, {self.m}), got {list(agents)}")
+            if not (0.0 <= self.shift_fraction <= 1.0):
+                raise ConfigError(f"shift_fraction must lie in [0, 1], got {self.shift_fraction}")
+            if not (0 < self.pivot_slot < K_SLOTS):
+                raise ConfigError(f"pivot_slot must lie in (0, {K_SLOTS}) to split the horizon, got {self.pivot_slot}")
 
 
 def default_config() -> ExperimentConfig:
@@ -134,11 +142,9 @@ def default_config() -> ExperimentConfig:
 
 
 def apply_preset(cfg: ExperimentConfig, name: str) -> ExperimentConfig:
-    """Overlay a named preset's exponents (and any base overrides) onto cfg."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    vals = PRESETS[name]
-    return replace(cfg, preset=name, **vals)
+    """Overlay a named preset's exponents (and any base overrides) onto cfg;
+    an unknown name is refused by ``ExperimentConfig``."""
+    return replace(cfg, preset=name, **PRESETS.get(name, {}))
 
 
 _SECTIONS = {
@@ -179,19 +185,15 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.replace(" ", "").split(",") if x != "")
 
 
-def parse_config(text_or_path) -> ExperimentConfig:
-    """Parse an INI config from a path or a literal string; unknown keys are
-    rejected, missing keys take defaults, and the preset (if any) is applied
-    before explicit schedule overrides from the file."""
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse INI config text; unknown keys are rejected, missing keys take
+    defaults, and the preset (if any) is applied before explicit schedule
+    overrides from the text."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keys are case-sensitive (e.g. T vs t)
-    text = text_or_path
     try:
-        if "\n" not in str(text_or_path) and "=" not in str(text_or_path):
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
         cp.read_string(text)
-    except (OSError, configparser.Error) as exc:
+    except configparser.Error as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
 
     key_to_section = {k: s for s, keys in _SECTIONS.items() for k in keys}
@@ -238,18 +240,14 @@ def manifest_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_schedules(cfg: ExperimentConfig, dim: int | None = None) -> ScheduleSet:
-    d = dim if dim is not None else cfg.d
+def build_schedules(cfg: ExperimentConfig) -> ScheduleSet:
     return ScheduleSet(
         lam=DecayProfile(cfg.lambda0, cfg.u),
         alpha=DecayProfile(cfg.alpha0, cfg.v),
         gamma1=DecayProfile(cfg.gamma1, cfg.w1),
         gamma2=DecayProfile(cfg.gamma2, cfg.w2),
-        noise=NoiseSchedule(
-            zeta=DecayProfile(cfg.sigma_zeta, cfg.varsigma_zeta),
-            xi=DecayProfile(cfg.sigma_xi, cfg.varsigma_xi),
-            dim=d,
-        ),
+        zeta=DecayProfile(cfg.sigma_zeta, cfg.varsigma_zeta),
+        xi=DecayProfile(cfg.sigma_xi, cfg.varsigma_xi),
     )
 
 
@@ -273,5 +271,4 @@ def build_problem(cfg: ExperimentConfig) -> AggregativeProblem:
 
 def build_instance(cfg: ExperimentConfig) -> tuple[AggregativeProblem, WeightMatrix, ScheduleSet]:
     """The problem, network and schedules every run of ``cfg`` shares."""
-    problem = build_problem(cfg)
-    return problem, build_network(cfg), build_schedules(cfg, dim=problem.d)
+    return build_problem(cfg), build_network(cfg), build_schedules(cfg)

@@ -11,7 +11,9 @@ the outputs are byte-identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
+import io
 import math
 import multiprocessing
 import os
@@ -22,20 +24,16 @@ import numpy as np
 from .. import engine, privacy
 from ..engine import CSV_COLUMNS, MetricsRecord
 from ..errors import DagoptError
-from ..problems import F_value, centralized_oracle, desk_ev_spec, ev_problem
+from ..problems import F_value, centralized_oracle, ev_problem
 from ..problems.ev import EVChargingSpec
-from .config import (
-    ExperimentConfig,
-    build_instance,
-    build_network,
-    build_problem,
-    build_schedules,
-    config_to_text,
-    manifest_hash,
-)
+from .config import ExperimentConfig, build_instance, build_problem, config_to_text, manifest_hash
 from .svgplot import Series, line_plot
 
 _TINY = 1e-18
+# a robustness curve is flagged when its terminal error exceeds RATIO_THRESHOLD
+# times its error at T_REF
+T_REF = 10
+RATIO_THRESHOLD = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +63,17 @@ def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, steppe
     return engine.run(state, T, stepper=stepper, baseline_lambda=cfg.baseline_lambda, **run_kwargs)
 
 
-def _convergence_job(cfg: ExperimentConfig, seeds: list[int], oracle):
+def _records_job(cfg: ExperimentConfig, seeds: list[int], steppers: tuple[str, ...], oracle):
+    """Each seed's run under each of ``steppers``, in order: per seed,
+    (seed, [(records, diverged_at, weighted_avg_gap, weighted_avg_grad), ...])."""
     problem, W, schedules = build_instance(cfg)
     out = []
     for seed in seeds:
-        res = _run(problem, W, schedules, cfg, seed, cfg.T, "alg1", cfg.noise_enabled,
-                   stride=cfg.stride, oracle=oracle)
-        out.append((seed, res.records, res.diverged_at, res.weighted_avg_gap, res.weighted_avg_grad))
-    return out
-
-
-def _robustness_job(cfg: ExperimentConfig, seeds: list[int], oracle):
-    problem, W, schedules = build_instance(cfg)
-    out = []
-    for seed in seeds:
-        alg1, base = (
-            _run(problem, W, schedules, cfg, seed, cfg.T, stepper, cfg.noise_enabled,
-                 stride=cfg.stride, oracle=oracle)
-            for stepper in ("alg1", "baseline")
-        )
-        out.append((seed, alg1.records, alg1.diverged_at, base.records, base.diverged_at))
+        runs = [
+            _run(problem, W, schedules, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride, oracle=oracle)
+            for stepper in steppers
+        ]
+        out.append((seed, [(r.records, r.diverged_at, r.weighted_avg_gap, r.weighted_avg_grad) for r in runs]))
     return out
 
 
@@ -143,7 +132,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     per_seed: dict[int, list[MetricsRecord]] = {}
     diverged = []
     wgaps, wgrads, finals = [], [], {}
-    for seed, records, div_at, wgap, wgrad in _map_seeds(_convergence_job, cfg, oracle):
+    for seed, [(records, div_at, wgap, wgrad)] in _map_seeds(_records_job, cfg, ("alg1",), oracle):
         per_seed[seed] = records
         if div_at is not None:
             diverged.append(seed)
@@ -174,7 +163,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
 @dataclass(frozen=True)
 class CurveVerdict:
     diverged: bool
-    error_ratio: float  # error(t_end) / error(t_ref)
+    error_ratio: float  # error(t_end) / error(T_REF)
     flagged: bool  # diverged or ratio > threshold
 
 
@@ -195,25 +184,26 @@ def _error_at(records: list[MetricsRecord], t: int) -> float:
     return max(best.gap_F, _TINY) if best is not None else _TINY
 
 
-def _verdict(records: list[MetricsRecord], diverged_at, t_ref: int, ratio_threshold: float) -> CurveVerdict:
+def _verdict(records: list[MetricsRecord], diverged_at) -> CurveVerdict:
     t_end = records[-1].t
-    ratio = _error_at(records, t_end) / _error_at(records, t_ref)
+    ratio = _error_at(records, t_end) / _error_at(records, T_REF)
     diverged = diverged_at is not None or any(r.diverged for r in records)
-    return CurveVerdict(diverged=diverged, error_ratio=ratio, flagged=diverged or ratio > ratio_threshold)
+    return CurveVerdict(diverged=diverged, error_ratio=ratio, flagged=diverged or ratio > RATIO_THRESHOLD)
 
 
-def run_robustness_experiment(cfg: ExperimentConfig, t_ref: int = 10, ratio_threshold: float = 10.0) -> RobustnessSummary:
+def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
     """Both integrators run each seed under the same noise: each draws one
     zeta and one xi block per round from the streams keyed by the seed.
     Each curve gets a divergence verdict (hard divergence, or terminal error
-    more than ``ratio_threshold`` times the early error)."""
+    more than RATIO_THRESHOLD times the error at T_REF)."""
     oracle = centralized_oracle(build_problem(cfg))
     per_seed, verdicts = {}, {}
     base_flagged, alg1_flagged = [], []
-    for seed, a_recs, a_div, b_recs, b_div in _map_seeds(_robustness_job, cfg, oracle):
+    runs = _map_seeds(_records_job, cfg, ("alg1", "baseline"), oracle)
+    for seed, [(a_recs, a_div, *_), (b_recs, b_div, *_)] in runs:
         per_seed[seed] = (a_recs, b_recs)
-        va = _verdict(a_recs, a_div, t_ref, ratio_threshold)
-        vb = _verdict(b_recs, b_div, t_ref, ratio_threshold)
+        va = _verdict(a_recs, a_div)
+        vb = _verdict(b_recs, b_div)
         verdicts[seed] = (va, vb)
         if vb.flagged:
             base_flagged.append(seed)
@@ -239,8 +229,8 @@ class AdjacentScenario:
     entries of the listed agents."""
 
     agents: tuple[int, ...]
-    shift_fraction: float = 0.4
-    pivot_slot: int = 3
+    shift_fraction: float
+    pivot_slot: int
 
     def __post_init__(self):
         if not self.agents:
@@ -286,12 +276,10 @@ def _liar_schedule(prices: np.ndarray, x_max: np.ndarray, energy: float, window:
 
 
 def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], scenario: AdjacentScenario):
-    true_spec = desk_ev_spec(cfg.m)
-    true_problem = ev_problem(true_spec)
+    true_problem, W, schedules = build_instance(cfg)
+    true_spec = true_problem.meta["spec"]
     psi_cap = true_problem.meta["psi_cap"]
     fake_problem = ev_problem(perturb_spec(true_spec, scenario), psi_cap=psi_cap)
-    W = build_network(cfg)
-    schedules = build_schedules(cfg, dim=true_problem.d)
     T = cfg.truthful_T
     p = scenario.pivot_slot
     K = true_spec.d.shape[1]
@@ -347,9 +335,7 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
     run, noise-free conventional run} — each followed by a greedy
     cheapest-window recharge for the perturbed agents and a cost evaluation
     at the realized prices under the TRUE demands."""
-    true_problem = ev_problem(desk_ev_spec(cfg.m))
-    W = build_network(cfg)
-    schedules = build_schedules(cfg, dim=true_problem.d)
+    true_problem, W, schedules = build_instance(cfg)
     report = privacy.epsilon(cfg.truthful_T, schedules, W)
     c = true_problem.constants
     eta_rep = privacy.eta(report.epsilon, c.L_f1, c.L_f2, c.L_g, c.D_X, c.D_f)
@@ -376,16 +362,23 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
 # ---------------------------------------------------------------------------
 
 
+def csv_text(header, rows) -> str:
+    """Deterministic CSV text: one line per row, each float in its shortest
+    round-trip repr, and a field holding a comma or a quote quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _records_csv(records: list[MetricsRecord]) -> str:
-    """Deterministic CSV serialization (shortest round-trip float repr).
-    Non-finite values are written as they are: ``nan`` where a column has
-    no value (err_x and gap_F without an oracle) or a run diverged."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join([str(rec.t)] + [repr(float(getattr(rec, c))) for c in CSV_COLUMNS[1:]]))
+    """The records as CSV plus a ``# diverged_at`` trailer.  Non-finite
+    values are written as they are: ``nan`` where a column has no value
+    (err_x and gap_F without an oracle) or a run diverged."""
     div = [r.t for r in records if r.diverged]
-    lines.append(f"# diverged_at,{div[0] if div else ''}")
-    return "\n".join(lines) + "\n"
+    rows = ([getattr(rec, c) for c in CSV_COLUMNS] for rec in records)
+    return csv_text(CSV_COLUMNS, rows) + f"# diverged_at,{div[0] if div else ''}\n"
 
 
 def _write(path: str, text: str) -> None:
@@ -426,7 +419,7 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
         svg = line_plot(
             [_curve_series(summary.mean_records, summary.slope_metric, summary.slope_metric)],
             title=f"seed-mean {summary.slope_metric}; slope {summary.slope:.3f} on [T/10, T]",
-            xlabel="iteration", ylabel=summary.slope_metric, xlog=True, ylog=True,
+            xlabel="iteration", ylabel=summary.slope_metric,
         )
         emit("curve.svg", svg)
         emit("manifest.txt", _manifest(summary.cfg, [
@@ -445,8 +438,7 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
         svg = line_plot(
             [_curve_series(a_recs, "gap_F", "noise-injected tracker"),
              _curve_series(b_recs, "gap_F", "conventional tracker")],
-            title="objective gap under identical noise", xlabel="iteration",
-            ylabel="F - F*", xlog=True, ylog=True,
+            title="objective gap under identical noise", xlabel="iteration", ylabel="F - F*",
         )
         emit("curve.svg", svg)
         verdict_lines = [
@@ -458,10 +450,7 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
         ]
         emit("manifest.txt", _manifest(summary.cfg, verdict_lines))
     elif isinstance(summary, TruthfulnessSummary):
-        lines = ["seed,gain_alg1,gain_naive,eta,global_inflation"]
-        for seed, g1, g2, eta_v, infl in summary.rows:
-            lines.append(f"{seed},{g1!r},{g2!r},{eta_v!r},{infl!r}")
-        emit("gains.csv", "\n".join(lines) + "\n")
+        emit("gains.csv", csv_text(("seed", "gain_alg1", "gain_naive", "eta", "global_inflation"), summary.rows))
         emit("manifest.txt", _manifest(summary.cfg, [
             f"epsilon = {summary.epsilon!r}",
             f"eta = {summary.eta!r}",

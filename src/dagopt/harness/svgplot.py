@@ -1,6 +1,8 @@
-"""Minimal hand-rolled SVG line plots: axes, optional log scaling, up to a
-few labelled series.  Deliberately dependency-free so emitted artifacts are
-plain deterministic text."""
+"""Minimal hand-rolled log-log SVG line plots: axes with decade ticks, up to
+a few labelled series.  Every curve the experiments plot is a power law in
+the iteration count, so both axes are always logarithmic and points with a
+non-positive or non-finite coordinate are dropped.  Deliberately
+dependency-free so emitted artifacts are plain deterministic text."""
 
 from __future__ import annotations
 
@@ -19,35 +21,8 @@ class Series:
     ys: tuple[float, ...]
 
 
-def _finite_pairs(s: Series, xlog: bool, ylog: bool):
-    out = []
-    for x, y in zip(s.xs, s.ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        if xlog and x <= 0:
-            continue
-        if ylog and y <= 0:
-            continue
-        out.append((x, y))
-    return out
-
-
-def _ticks_linear(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * span:
-        ticks.append(v)
-        v += step
-    return ticks
+def _finite_pairs(s: Series):
+    return [(x, y) for x, y in zip(s.xs, s.ys) if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0]
 
 
 def _ticks_log(lo: float, hi: float):
@@ -65,16 +40,9 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(
-    series: list[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    xlog: bool = False,
-    ylog: bool = False,
-) -> str:
-    """Render labelled line series to an SVG document string."""
-    cleaned = [(s.label, _finite_pairs(s, xlog, ylog)) for s in series]
+def line_plot(series: list[Series], title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """Render labelled line series on log-log axes to an SVG document string."""
+    cleaned = [(s.label, _finite_pairs(s)) for s in series]
     cleaned = [(lbl, pts) for lbl, pts in cleaned if pts]
     if not cleaned:
         cleaned = [("(no finite data)", [(1.0, 1.0)])]
@@ -88,14 +56,12 @@ def line_plot(
         y_hi = y_lo + (abs(y_lo) or 1.0)
 
     def tx(v: float) -> float:
-        a, b = (math.log10(x_lo), math.log10(x_hi)) if xlog else (x_lo, x_hi)
-        u = (math.log10(v) if xlog else v)
-        return MARGIN_L + (u - a) / (b - a) * (WIDTH - MARGIN_L - MARGIN_R)
+        a, b = math.log10(x_lo), math.log10(x_hi)
+        return MARGIN_L + (math.log10(v) - a) / (b - a) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def ty(v: float) -> float:
-        a, b = (math.log10(y_lo), math.log10(y_hi)) if ylog else (y_lo, y_hi)
-        u = (math.log10(v) if ylog else v)
-        return HEIGHT - MARGIN_B - (u - a) / (b - a) * (HEIGHT - MARGIN_T - MARGIN_B)
+        a, b = math.log10(y_lo), math.log10(y_hi)
+        return HEIGHT - MARGIN_B - (math.log10(v) - a) / (b - a) * (HEIGHT - MARGIN_T - MARGIN_B)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -106,13 +72,13 @@ def line_plot(
     x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
     parts.append(f'<line x1="{x0}" y1="{MARGIN_T}" x2="{x0}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{WIDTH - MARGIN_R}" y2="{y0}" stroke="black"/>')
-    for v in (_ticks_log(x_lo, x_hi) if xlog else _ticks_linear(x_lo, x_hi)):
+    for v in _ticks_log(x_lo, x_hi):
         if not (x_lo <= v <= x_hi):
             continue
         px = tx(v)
         parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" y2="{y0 + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle">{_fmt(v)}</text>')
-    for v in (_ticks_log(y_lo, y_hi) if ylog else _ticks_linear(y_lo, y_hi)):
+    for v in _ticks_log(y_lo, y_hi):
         if not (y_lo <= v <= y_hi):
             continue
         py = ty(v)

@@ -4,7 +4,9 @@ The mixing matrix W has w_ij = edge_weight > 0 on edges, zero off-network,
 and w_ii = -sum_{j in N_i} w_ij, so both row and column sums vanish and
 I + W is doubly stochastic whenever edge_weight * max_degree <= 1.  Its
 eigenvalues must satisfy -1 < delta_m <= ... <= delta_2 < delta_1 = 0 with
-a simple zero eigenvalue (connected network).
+a simple zero eigenvalue (connected network).  The privacy budget reads
+w_hat = min_i |w_ii|, which ``WeightMatrix`` derives from W itself (0 for a
+single agent).
 
 Mixing costs O(edges): each agent combines only its neighbours' rows,
 through a neighbour table built once per matrix.  The spectral certificate
@@ -99,10 +101,11 @@ class WeightMatrix:
     neighbour table: slot k holds, for every agent, its k-th neighbour in
     ascending column order and that neighbour's weight; an agent with fewer
     neighbours is padded with itself at weight 0.  ``diag`` and
-    ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii."""
+    ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii, and
+    ``w_hat`` is min_i |w_ii| (0 for a single agent)."""
 
     matrix: np.ndarray
-    w_hat: float = field(default=None)  # min_i |w_ii|
+    w_hat: float = field(init=False)
     diag: np.ndarray = field(init=False, repr=False, compare=False)
     one_plus_diag: np.ndarray = field(init=False, repr=False, compare=False)
     _nbr: np.ndarray = field(init=False, repr=False, compare=False)  # (slots, m)
@@ -118,6 +121,7 @@ class WeightMatrix:
         wgt = np.zeros(nbr.shape + (1,))
         nbr[slot, rows], wgt[slot, rows, 0] = cols, A[rows, cols]
         diag = np.diag(A)[:, None].copy()
+        object.__setattr__(self, "w_hat", float(np.abs(diag).min()) if self.m > 1 else 0.0)
         for name, value in (("diag", diag), ("one_plus_diag", 1.0 + diag), ("_nbr", nbr), ("_wgt", wgt)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -212,8 +216,7 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
             raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
         if m > 1 and eig[1] >= -_SPECTRAL_TOL:
             raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
-    w_hat = float(np.min(np.abs(np.diag(W)))) if m > 1 else 0.0
-    return WeightMatrix(matrix=W, w_hat=w_hat)
+    return WeightMatrix(matrix=W)
 
 
 @dataclass(frozen=True)
@@ -277,11 +280,12 @@ def load_edgelist(path) -> Topology:
     """Edge-list text file: one 'i j' pair per line, 0-indexed.
 
     An optional '# m <count>' header pins the vertex count; otherwise it is
-    inferred as max index + 1."""
+    inferred as max index + 1.  A malformed file raises ValueError, an
+    unreadable one OSError."""
     edges = []
     m = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -290,10 +294,12 @@ def load_edgelist(path) -> Topology:
                 if len(parts) == 2 and parts[0] == "m":
                     m = int(parts[1])
                 continue
-            a, b = line.split()
-            i, j = int(a), int(b)
+            try:
+                i, j = (int(v) for v in line.split())
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected two vertex indices 'i j', got {line!r}") from None
             if i == j:
-                raise ValueError(f"self-loop {i} {j}")
+                raise ValueError(f"line {lineno}: self-loop {i} {j}")
             edges.append((min(i, j), max(i, j)))
     if not edges:
         raise ValueError("empty edge list")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorNonpositive, InvalidW, RegimeViolation
+from .errors import DagoptError, DenominatorNonpositive, RegimeViolation
 from .network import WeightMatrix
 from .schedules import ScheduleSet
 
@@ -69,7 +69,7 @@ def _exponents(schedules: ScheduleSet):
     w1 = schedules.gamma1.exponent
     w2 = schedules.gamma2.exponent
     # every agent shares one profile, so varsigma and hat-varsigma coincide
-    return u, v, w1, w2, schedules.noise.zeta.exponent, schedules.noise.xi.exponent
+    return u, v, w1, w2, schedules.zeta.exponent, schedules.xi.exponent
 
 
 def check_regime(schedules: ScheduleSet, regime: str) -> RegimeConditions:
@@ -168,7 +168,7 @@ def c1_constant(schedules: ScheduleSet, w_hat: float) -> float:
 
 def c2_constant(schedules: ScheduleSet, w_hat: float) -> float:
     if not (0.0 < w_hat < 2.0):
-        raise InvalidW(f"w_hat must be in (0, 2), got {w_hat}")
+        raise DagoptError(f"w_hat must be in (0, 2), got {w_hat}")
     w1 = schedules.gamma1.exponent
     return (4.0 * w1 / (math.e * math.log(2.0 / (2.0 - w_hat)))) ** w1 * (2.0 / w_hat)
 
@@ -180,17 +180,16 @@ def sensitivity_psi(t: int, schedules: ScheduleSet, w_hat: float) -> float:
     return c1 * schedules.lam.value(t) / (schedules.gamma1.value(t) * schedules.gamma2.value(t))
 
 
-def sensitivity_psi_recursion(T: int, schedules: ScheduleSet, w_hat: float, forcing_const: float = 1.0) -> np.ndarray:
+def sensitivity_psi_recursion(T: int, schedules: ScheduleSet, w_hat: float) -> np.ndarray:
     """Numeric iteration of the sensitivity recursion
 
-        Delta_{t+1} <= (1 - gamma_{t,2} w_hat) Delta_t + forcing_const * lambda_t / gamma_{t,1}
+        Delta_{t+1} <= (1 - gamma_{t,2} w_hat) Delta_t + lambda_t / gamma_{t,1}
 
-    from Delta_0 = 0, for cross-checking the closed form (which absorbs the
-    forcing constant; compare after scaling by it)."""
+    from Delta_0 = 0 (forcing constant 1), for cross-checking the closed form."""
     out = np.zeros(T + 1)
     for t in range(T):
         a_t = schedules.gamma2.value(t) * w_hat
-        b_t = forcing_const * schedules.lam.value(t) / schedules.gamma1.value(t)
+        b_t = schedules.lam.value(t) / schedules.gamma1.value(t)
         out[t + 1] = (1.0 - a_t) * out[t] + b_t
     return out
 
@@ -201,11 +200,11 @@ def sensitivity_y(t: int, schedules: ScheduleSet, w_hat: float) -> float:
     return c2 * schedules.gamma1.value(t)
 
 
-def sensitivity_y_recursion(T: int, schedules: ScheduleSet, w_hat: float, forcing_const: float = 1.0) -> np.ndarray:
-    """Numeric iteration of Delta_{t+1} <= (1 - w_hat) Delta_t + forcing_const * gamma_{t,1}."""
+def sensitivity_y_recursion(T: int, schedules: ScheduleSet, w_hat: float) -> np.ndarray:
+    """Numeric iteration of Delta_{t+1} <= (1 - w_hat) Delta_t + gamma_{t,1} (forcing constant 1)."""
     out = np.zeros(T + 1)
     for t in range(T):
-        out[t + 1] = (1.0 - w_hat) * out[t] + forcing_const * schedules.gamma1.value(t)
+        out[t + 1] = (1.0 - w_hat) * out[t] + schedules.gamma1.value(t)
     return out
 
 
@@ -226,17 +225,13 @@ def _series_exponents(schedules: ScheduleSet):
     return u - w1 - w2 - s_x, w1 - s_z  # psi-mechanism, y-mechanism
 
 
-def epsilon(
-    T: int | None,
-    schedules: ScheduleSet,
-    W: WeightMatrix | float,
-    require_regime: bool = True,
-) -> PrivacyReport:
+def epsilon(T: int | None, schedules: ScheduleSet, W: WeightMatrix | float) -> PrivacyReport:
     """Cumulative privacy budget over t = 1..T (T=None for the infinite
-    horizon, evaluated exactly via the Hurwitz zeta function)."""
+    horizon, evaluated exactly via the Hurwitz zeta function); raises
+    RegimeViolation outside the T2-truthful regime."""
     w_hat = W.w_hat if isinstance(W, WeightMatrix) else float(W)
     regime = check_regime(schedules, "T2-truthful")
-    if require_regime and not regime.passed:
+    if not regime.passed:
         fails = "; ".join(f"{c.name} ({c.left:.4g} vs {c.right:.4g})" for c in regime.failures())
         raise RegimeViolation(f"T2-truthful regime fails: {fails} — budget would not be certified finite")
     p_psi, p_y = _series_exponents(schedules)
@@ -244,8 +239,8 @@ def epsilon(
         raise RegimeViolation("infinite-horizon budget requires both series exponents > 1")
     c1 = c1_constant(schedules, w_hat)
     c2 = c2_constant(schedules, w_hat)
-    sig_xi = schedules.noise.xi.base
-    sig_zeta = schedules.noise.zeta.base
+    sig_xi = schedules.xi.base
+    sig_zeta = schedules.zeta.base
     A_psi = math.sqrt(2.0) * c1 * schedules.lam.base / (sig_xi * schedules.gamma1.base * schedules.gamma2.base)
     A_y = math.sqrt(2.0) * c2 * schedules.gamma1.base / sig_zeta
 
@@ -293,8 +288,8 @@ def calibrate_noise(target_epsilon: float, T: int, schedules: ScheduleSet, W: We
         raise ValueError("target epsilon must be > 0")
     report = epsilon(T, schedules, W)
     return (
-        2.0 * report.eps_psi * schedules.noise.xi.base / target_epsilon,
-        2.0 * report.eps_y * schedules.noise.zeta.base / target_epsilon,
+        2.0 * report.eps_psi * schedules.xi.base / target_epsilon,
+        2.0 * report.eps_y * schedules.zeta.base / target_epsilon,
     )
 
 

@@ -30,7 +30,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..errors import InfeasibleSpec
+from ..errors import DagoptError
 from .base import AggregativeProblem, ProblemConstants
 from .projections import BoxBudgetProjection
 
@@ -53,11 +53,11 @@ class EVChargingSpec:
 
     def __post_init__(self):
         if self.x_max.shape[1] != K_SLOTS:
-            raise InfeasibleSpec(f"expected K={K_SLOTS} slots, got {self.x_max.shape[1]}")
+            raise DagoptError(f"expected K={K_SLOTS} slots, got {self.x_max.shape[1]}")
         if np.any(self.d < 0):
-            raise InfeasibleSpec("demands must be nonnegative")
+            raise DagoptError("demands must be nonnegative")
         if np.any(self.E < 0):
-            raise InfeasibleSpec("required energy must be nonnegative")
+            raise DagoptError("required energy must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -78,7 +78,7 @@ def _read_demand_profile():
             if line and not line.startswith("#"):
                 vals.append(float(line))
     if len(vals) != K_SLOTS:
-        raise InfeasibleSpec(f"demand profile must have {K_SLOTS} values, got {len(vals)}")
+        raise DagoptError(f"demand profile must have {K_SLOTS} values, got {len(vals)}")
     return np.array(vals)
 
 
@@ -105,7 +105,7 @@ def _check_feasible(spec: EVChargingSpec):
     slack = spec.x_max.sum(axis=1) - spec.E
     if np.any(slack < 0):
         bad = int(np.argmin(slack))
-        raise InfeasibleSpec(
+        raise DagoptError(
             f"agent {bad}: required energy {spec.E[bad]} exceeds max deliverable {spec.x_max[bad].sum()}"
         )
 

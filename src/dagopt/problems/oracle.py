@@ -13,6 +13,9 @@ import numpy as np
 
 from .base import AggregativeProblem, F_grad, F_value
 
+TOL = 1e-9  # stop once the gradient mapping falls below this
+MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True)
 class OracleSolution:
@@ -23,28 +26,23 @@ class OracleSolution:
     converged: bool
 
 
-def centralized_oracle(
-    problem: AggregativeProblem,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-    step0: float = 1.0,
-) -> OracleSolution:
-    """Projected gradient descent with Armijo backtracking.
+def centralized_oracle(problem: AggregativeProblem) -> OracleSolution:
+    """Projected gradient descent with Armijo backtracking from step 1.
 
     Stops when the gradient mapping ||x - P(x - s grad)|| / s falls below
-    tol.  On max_iters the result is still returned with converged=False."""
+    TOL.  On MAX_ITERS the result is still returned with converged=False."""
     x = problem.eval_project_all(np.zeros((problem.m, problem.n)))
     fx = F_value(problem, x)
-    step = step0
+    step = 1.0
     pg = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         grad = F_grad(problem, x)
         # gradient mapping at the current step size
         x_trial = problem.eval_project_all(x - step * grad)
         diff = x - x_trial
         pg = float(np.linalg.norm(diff)) / step
-        if pg < tol:
+        if pg < TOL:
             break
         # Armijo backtracking on the projected step; the first trial is the
         # point just projected
@@ -62,5 +60,5 @@ def centralized_oracle(
             break
         x, fx = x_trial, f_trial
         step = min(step * 1.25, 1e6)  # let the step recover between iterations
-    converged = pg < tol
+    converged = pg < TOL
     return OracleSolution(x_star=x, F_star=fx, iterations=it, pg_norm=pg, converged=converged)

@@ -3,7 +3,9 @@
 All tunable sequences are power laws  value(t) = base / (t+1)^exponent.
 The algorithm consumes five of them: the stepsize lambda_t, the damping
 alpha_t, the two attenuation sequences gamma_{t,1} / gamma_{t,2}, and the
-noise standard deviations sigma_{t,zeta} / sigma_{t,xi}.
+noise standard deviations sigma_{t,zeta} / sigma_{t,xi}, which every agent
+shares.  A schedule set has no noise dimension: each draw takes its (m, d)
+shape from the problem.
 
 Noise convention: a std-dev sigma maps to a per-element Laplace scale
 nu = sigma / sqrt(2), so each element has variance 2 nu^2 = sigma^2.
@@ -42,17 +44,6 @@ class DecayProfile:
 
 
 @dataclass(frozen=True)
-class NoiseSchedule:
-    """Std-dev profiles of the two injected noises, shared by all agents.
-
-    ``dim`` is the dimension d of the noise vectors."""
-
-    zeta: DecayProfile
-    xi: DecayProfile
-    dim: int
-
-
-@dataclass(frozen=True)
 class ScheduleSet:
     """The full set of decaying sequences consumed by one run."""
 
@@ -60,7 +51,8 @@ class ScheduleSet:
     alpha: DecayProfile  # damping alpha_t        (alpha_0, v)
     gamma1: DecayProfile  # attenuation gamma_{t,1} (gamma_1, w_1)
     gamma2: DecayProfile  # attenuation gamma_{t,2} (gamma_2, w_2)
-    noise: NoiseSchedule
+    zeta: DecayProfile  # noise on y sigma_{t,zeta}   (sigma_zeta, varsigma_zeta)
+    xi: DecayProfile  # noise on psi sigma_{t,xi}   (sigma_xi, varsigma_xi)
 
 
 # ---------------------------------------------------------------------------

@@ -26,5 +26,5 @@ def desk_W(desk_cfg):
 
 
 @pytest.fixture(scope="session")
-def desk_schedules(desk_cfg, desk_problem):
-    return build_schedules(desk_cfg, dim=desk_problem.d)
+def desk_schedules(desk_cfg):
+    return build_schedules(desk_cfg)

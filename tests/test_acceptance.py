@@ -59,7 +59,7 @@ def test_criterion_01_noise_free_invariants():
     cfg = _desk_cfg()
     prob = build_problem(cfg)
     W = build_network(cfg)
-    sch = build_schedules(cfg, dim=prob.d)
+    sch = build_schedules(cfg)
     st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
     T = 10_000
     worst_psi = 0.0
@@ -94,7 +94,7 @@ def test_criterion_02_tracker_ball_containment():
     cfg = _desk_cfg(preset="sec5-truthful")
     prob = build_problem(cfg)
     W = build_network(cfg)
-    sch = build_schedules(cfg, dim=prob.d)
+    sch = build_schedules(cfg)
     worst = -math.inf
     for seed in cfg.seeds:
         st = engine.init_run(prob, W, sch, seed=seed, noise_enabled=True)
@@ -171,7 +171,7 @@ def test_criterion_05_gradient_correctness():
 
 def test_criterion_06_robustness_vs_conventional_tracking():
     cfg = _desk_cfg(preset="sec5-truthful", T=1000, stride=10)
-    summary = run_robustness_experiment(cfg, t_ref=10, ratio_threshold=10.0)
+    summary = run_robustness_experiment(cfg)
     n_base = len(summary.seeds_baseline_flagged)
     n_alg1 = len(summary.seeds_alg1_flagged)
     ratios = [summary.verdicts[s][1].error_ratio for s in sorted(summary.verdicts)]
@@ -198,12 +198,12 @@ _GOLDEN_EPS_1E4 = 465.2888260938502132366960
 def test_criterion_07_privacy_budget_accounting():
     cfg = _desk_cfg(preset="sec5-truthful")
     W = build_network(cfg)
-    sch = build_schedules(cfg, dim=13)
+    sch = build_schedules(cfg)
     rep4 = privacy.epsilon(10_000, sch, W)
     rel = abs(rep4.epsilon - _GOLDEN_EPS_1E4) / _GOLDEN_EPS_1E4
 
     sx, sz = privacy.calibrate_noise(1.0, 10_000, sch, W)
-    sch_cal = build_schedules(dataclasses.replace(cfg, sigma_xi=sx, sigma_zeta=sz), dim=13)
+    sch_cal = build_schedules(dataclasses.replace(cfg, sigma_xi=sx, sigma_zeta=sz))
     round_trip = privacy.epsilon(10_000, sch_cal, W).epsilon
     rel_cal = abs(round_trip - 1.0)
 

@@ -23,7 +23,7 @@ def small_setup(m=6, noise=True, seed=0, problem=None):
     cfg = default_config()
     prob = problem if problem is not None else ev_problem(desk_ev_spec(m))
     W = build_weight_matrix(complete_topology(m), 0.12)
-    sch = build_schedules(cfg, dim=prob.d)
+    sch = build_schedules(cfg)
     state = engine.init_run(prob, W, sch, seed=seed, noise_enabled=noise)
     return prob, W, sch, state
 
@@ -52,8 +52,8 @@ class TestStep:
         # gamma1 * grad2_f, so the x update collapses to a projected
         # gradient step on the composite objective.
         prob = synthetic_problem("strongly-convex", 1, 4, 3, seed=0)
-        W = WeightMatrix(matrix=np.zeros((1, 1)), w_hat=0.0)
-        sch = build_schedules(default_config(), dim=prob.d)
+        W = WeightMatrix(matrix=np.zeros((1, 1)))
+        sch = build_schedules(default_config())
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         for t in range(5):
             x_before = st.x.copy()
@@ -118,13 +118,14 @@ class TestGradientEstimate:
         cfg = default_config()
         from dagopt.schedules import DecayProfile, ScheduleSet
 
-        sch0 = build_schedules(cfg, dim=prob.d)
+        sch0 = build_schedules(cfg)
         sch = ScheduleSet(
             lam=sch0.lam,
             alpha=sch0.alpha,
             gamma1=DecayProfile(1e-12, 0.0),
             gamma2=sch0.gamma2,
-            noise=sch0.noise,
+            zeta=sch0.zeta,
+            xi=sch0.xi,
         )
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         est = engine.gradient_estimate(st, st.y)  # zero increment
@@ -227,7 +228,7 @@ class TestBaseline:
 
         prob = ev_problem(desk_ev_spec(20))
         W = build_weight_matrix(generate_k_regular(20, 4, seed=0), 0.12)
-        sch = build_schedules(default_config(), dim=prob.d)
+        sch = build_schedules(default_config())
         a = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         b = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         engine.run(a, T=4000, stride=4000)
@@ -249,7 +250,7 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
     rngs = {tag: np.random.Generator(np.random.Philox(key=(seed << 64) | tag)) for tag in (TAG_ZETA, TAG_XI)}
 
     def noise(tag, t):
-        profile = sch.noise.zeta if tag == TAG_ZETA else sch.noise.xi
+        profile = sch.zeta if tag == TAG_ZETA else sch.xi
         return rngs[tag].laplace(scale=profile.value(t) / math.sqrt(2.0), size=(prob.m, prob.d))
 
     x = project(np.zeros((prob.m, prob.n)))
@@ -296,7 +297,7 @@ def test_rounds_bit_identical_to_reference_loop(stepper):
 
     prob = ev_problem(desk_ev_spec(30))
     W = build_weight_matrix(generate_k_regular(30, 4, seed=0), 0.12)
-    sch = build_schedules(default_config(), dim=prob.d)
+    sch = build_schedules(default_config())
     state = engine.init_run(prob, W, sch, seed=3, noise_enabled=True)
     advance = engine.step if stepper == "alg1" else engine.step_baseline
     rounds = 0
@@ -405,7 +406,7 @@ class TestBlockedMetrics:
 
     def both(self, instances, kind="strongly-convex", seed=1, **kwargs):
         prob, W, oracle = instances[kind]
-        sch = build_schedules(default_config(), dim=prob.d)
+        sch = build_schedules(default_config())
         if kind == "strongly-convex":
             kwargs.setdefault("oracle", oracle)
         runs = []

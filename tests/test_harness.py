@@ -1,5 +1,6 @@
 """Config parsing, experiment orchestration, output emission, and the CLI."""
 
+import csv
 import dataclasses
 import pathlib
 
@@ -103,9 +104,8 @@ class TestConfig:
         cfg = default_config()
         prob = build_problem(cfg)
         W = build_network(cfg)
-        sch = build_schedules(cfg, dim=prob.d)
+        sch = build_schedules(cfg)
         assert W.m == prob.m == cfg.m
-        assert sch.noise.dim == prob.d
 
 
 class TestSlopeFit:
@@ -124,13 +124,13 @@ class TestSlopeFit:
 class TestSvg:
     def test_line_plot_structure(self):
         s = Series("curve-a", [1, 10, 100], [1.0, 0.1, 0.01])
-        svg = line_plot([s], title="t", xlabel="x", ylabel="y", xlog=True, ylog=True)
+        svg = line_plot([s], title="t", xlabel="x", ylabel="y")
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polyline" in svg and "curve-a" in svg
 
     def test_log_plot_drops_nonpositive_points(self):
         s = Series("a", [1, 2, 3], [1.0, -5.0, 4.0])
-        svg = line_plot([s], title="", xlabel="", ylabel="", xlog=False, ylog=True)
+        svg = line_plot([s], title="", xlabel="", ylabel="")
         assert "polyline" in svg  # remaining points still plotted
 
 
@@ -314,6 +314,20 @@ class TestCli:
         assert out == ""
         assert err.splitlines() == [f"error: edge_weight must be finite and > 0, got {float(weight)}"]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1\n", "# m 3\n", "0 1 2\n", "0 x\n", "# m 2\n0 5\n", None],
+        ids=["self-loop", "header-only", "three-columns", "non-integer", "index-past-m", "missing-file"],
+    )
+    def test_validate_graph_malformed_edge_list_exits_2_with_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "g.edges"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["validate-graph", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read edge list {path}: "), err
+
     def test_validate_graph_reports_a_matrix_outside_the_band(self, tmp_path, capsys):
         # K10 at 0.12 has delta_m = -1.2: the diagnostic prints its
         # certificate instead of refusing to build the matrix
@@ -346,6 +360,36 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write output file "), err
 
+    @pytest.mark.parametrize(
+        "command,text,names",
+        [
+            ("run", "[experiment]\nkind = robustness\nT = 30\nseeds = 0\n[problem]\nproblem = strongly-convex\nm = 6\n",
+             ("metrics.csv", "metrics_baseline.csv")),
+            ("run", "[experiment]\nkind = truthfulness\nseeds = 0\n[schedules]\npreset = sec5-truthful\n"
+             "[truthfulness]\ntruthful_T = 60\n", ("gains.csv",)),
+            ("privacy-report", "[experiment]\nkind = privacy-report\nT = 100\n[schedules]\npreset = sec5-truthful\n",
+             ("privacy_report.csv",)),
+        ],
+        ids=["robustness", "truthfulness", "privacy-report"],
+    )
+    def test_emitted_csv_rows_are_as_wide_as_the_header(self, tmp_path, monkeypatch, command, text, names):
+        monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(text)
+        assert cli.main([command, str(cfg_path)]) in (0, 3)
+        for name in names:
+            rows = list(csv.reader((tmp_path / "out" / name).read_text().splitlines()))
+            if rows[-1][0] == "# diverged_at":  # the records' trailer
+                rows.pop()
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
+
+    def test_run_config_path_containing_equals_sign(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))
+        cfg_path = tmp_path / "T=5.ini"
+        cfg_path.write_text("[experiment]\nkind = convergence\nT = 5\nseeds = 0\n")
+        assert cli.main(["run", str(cfg_path)]) == 0
+        assert (tmp_path / "out" / "metrics.csv").exists()
+
     def test_assertion_failure_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text("[experiment]\nkind = gradcheck\n")
@@ -365,9 +409,16 @@ class TestCli:
             *(f"[experiment]\nkind = convergence\nT = 5\n[problem]\nm = 6\n[topology]\ntopology = ring\nedge_weight = {w}\n"
               for w in ("0", "inf", "1e308")),
             *(f"[experiment]\nkind = convergence\nT = 5\nseeds = {s}\n" for s in ("-1", "18446744073709551616")),
+            *(f"[experiment]\nkind = truthfulness\nseeds = 0\n[schedules]\npreset = sec5-truthful\n"
+              f"[truthfulness]\ntruthful_T = 20\n{kv}\n"
+              for kv in ("untruthful_agents =", "untruthful_agents = 20", "untruthful_agents = -1",
+                         "untruthful_agents = 2,2", "shift_fraction = -0.1", "shift_fraction = 1.5",
+                         "pivot_slot = 0", "pivot_slot = 13")),
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
-             "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64"],
+             "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
+             "no-untruthful-agent", "untruthful-agent-m", "untruthful-agent-negative", "untruthful-agent-twice",
+             "shift-fraction-negative", "shift-fraction-above-1", "pivot-slot-0", "pivot-slot-13"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

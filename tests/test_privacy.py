@@ -19,8 +19,8 @@ GOLDEN_EPS_1E4 = {
 }
 
 
-def truthful_schedules(dim=13):
-    return build_schedules(apply_preset(default_config(), "sec5-truthful"), dim=dim)
+def truthful_schedules():
+    return build_schedules(apply_preset(default_config(), "sec5-truthful"))
 
 
 class TestRegimes:
@@ -40,12 +40,12 @@ class TestRegimes:
         ],
     )
     def test_rate_presets_pass_their_regimes(self, preset, regime):
-        sch = build_schedules(apply_preset(default_config(), preset), dim=3)
+        sch = build_schedules(apply_preset(default_config(), preset))
         rc = privacy.check_regime(sch, regime)
         assert all(c.satisfied for c in rc.checks), [c for c in rc.checks if not c.satisfied]
 
     def test_non_summable_stepsize_fails_budget_regime(self):
-        sch = build_schedules(apply_preset(default_config(), "corollary1-cvx"), dim=3)
+        sch = build_schedules(apply_preset(default_config(), "corollary1-cvx"))
         rc = privacy.check_regime(sch, "T2-truthful")
         assert not all(c.satisfied for c in rc.checks)
 
@@ -106,7 +106,7 @@ class TestEpsilon:
         assert rep_inf.epsilon >= rep_fin.epsilon
 
     def test_regime_violation_raised_for_non_summable_stepsizes(self):
-        sch = build_schedules(apply_preset(default_config(), "corollary1-cvx"), dim=3)
+        sch = build_schedules(apply_preset(default_config(), "corollary1-cvx"))
         with pytest.raises(RegimeViolation):
             privacy.epsilon(100, sch, 0.48)
 
@@ -114,8 +114,8 @@ class TestEpsilon:
         import dataclasses
 
         cfg = apply_preset(default_config(), "sec5-truthful")
-        sch1 = build_schedules(cfg, dim=13)
-        sch2 = build_schedules(dataclasses.replace(cfg, sigma_zeta=2.0, sigma_xi=2.0), dim=13)
+        sch1 = build_schedules(cfg)
+        sch2 = build_schedules(dataclasses.replace(cfg, sigma_zeta=2.0, sigma_xi=2.0))
         e1 = privacy.epsilon(1000, sch1, 0.48).epsilon
         e2 = privacy.epsilon(1000, sch2, 0.48).epsilon
         assert e2 == pytest.approx(e1 / 2.0, rel=1e-12)
@@ -127,9 +127,9 @@ class TestCalibration:
         import dataclasses
 
         cfg = apply_preset(default_config(), "sec5-truthful")
-        sch = build_schedules(cfg, dim=13)
+        sch = build_schedules(cfg)
         sx, sz = privacy.calibrate_noise(target, 10**4, sch, 0.48)
-        sch2 = build_schedules(dataclasses.replace(cfg, sigma_xi=sx, sigma_zeta=sz), dim=13)
+        sch2 = build_schedules(dataclasses.replace(cfg, sigma_xi=sx, sigma_zeta=sz))
         rep = privacy.epsilon(10**4, sch2, 0.48)
         assert rep.epsilon == pytest.approx(target, rel=1e-9)
 
