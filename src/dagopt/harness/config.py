@@ -113,8 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown topology kind {self.topology!r}; choose from {TOPOLOGY_KINDS}")
         if self.preset and self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
-        if self.T < 0 or self.stride <= 0:
-            raise ConfigError("T must be >= 0 and stride >= 1")
+        if self.T < 0 or self.truthful_T < 0 or self.stride <= 0:
+            raise ConfigError("T and truthful_T must be >= 0 and stride >= 1")
+        if self.m < 1 or (self.topology == "ring" and self.m < 3):
+            raise ConfigError(f"m must be >= 1, and >= 3 for a ring, got m = {self.m}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if not all(0 <= s < 1 << 64 for s in self.seeds):  # the noise streams' key range

@@ -26,7 +26,9 @@ class BoxBudgetProjection:
     (rounded subtraction, clipping and a fixed-order sum are monotone), so
     each row has exactly one such j.  A call first tests `hint`, the previous
     call's j; if every row brackets there, the binary search is skipped.  The
-    hint changes the cost, never the result."""
+    hint changes the cost, never the result.  The test gathers bp[j-1] and
+    bp[j] once each, for theta too, at flat indices row * 2K + max(j-1, 0) and
+    row * 2K + j into bp.ravel(), cached until `hint` is another array."""
 
     def __init__(self, x_max: np.ndarray, E: np.ndarray):
         x_max = np.asarray(x_max, dtype=float)
@@ -39,48 +41,52 @@ class BoxBudgetProjection:
         self.x_max = x_max
         self.E = E.clip(0.0, total)
         self.hint = None  # each row's bracketing index from the previous call
+        self._row0 = np.arange(x_max.shape[0]) * (2 * x_max.shape[1])  # row offsets into bp.ravel()
+        self._flat = (None, None, None)  # (hint array, flat indices of bp[j-1], of bp[j])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         x_max, E = self.x_max, self.E
         # breakpoints per row, ascending; mass is non-increasing in theta
-        bp = np.sort(np.concatenate([points, points - x_max], axis=1), axis=1)  # (m, 2K)
-        m, nbp = bp.shape
-        rows = np.arange(m)
+        bp = np.concatenate([points, points - x_max], axis=1)  # (m, 2K)
+        bp.sort(axis=1)
+        nbp = bp.shape[1]
         buf = np.empty_like(points)
 
-        def mass_at(j):
-            # clip(points - bp_j, 0, x_max) in place; the same values as clip
+        def mass_at(theta):
+            # clip(points - theta, 0, x_max) in place; the same values as clip
             # because 0 <= x_max
-            np.subtract(points, bp[rows, j][:, None], out=buf)
+            np.subtract(points, theta[:, None], out=buf)
             np.maximum(buf, 0.0, out=buf)
             np.minimum(buf, x_max, out=buf)
             return np.add.reduce(buf, axis=1)
 
         def masses(j):
-            return mass_at(np.maximum(j - 1, 0)), mass_at(j)
+            if self._flat[0] is not j:  # a new search result, or an assigned hint
+                self._flat = (j, self._row0 + np.maximum(j - 1, 0), self._row0 + j)
+            bp_lo, bp_hi = bp.take(self._flat[1]), bp.take(self._flat[2])
+            return bp_lo, bp_hi, mass_at(bp_lo), mass_at(bp_hi)
 
         j = self.hint
         hit = False
         if j is not None:
-            m_lo, m_hi = masses(j)
+            bp_lo, bp_hi, m_lo, m_hi = masses(j)
             hit = (((j == 0) | (m_lo > E)) & (m_hi <= E)).all()
         if not hit:
             # j = number of breakpoints with mass > E.  The mass at the last
             # breakpoint (the largest point) is 0 <= E, so j < 2K, and a
             # probe clamped to it never advances j.
-            j = np.zeros(m, dtype=np.intp)
+            j = np.zeros(len(bp), dtype=np.intp)
             step = 1 << (nbp.bit_length() - 1)
             while step:
-                j += step * (mass_at(np.minimum(j + (step - 1), nbp - 1)) > E)
+                j += step * (mass_at(bp.take(self._row0 + np.minimum(j + (step - 1), nbp - 1))) > E)
                 step >>= 1
-            m_lo, m_hi = masses(j)
+            bp_lo, bp_hi, m_lo, m_hi = masses(j)
         self.hint = j
         # theta lies in [bp[j-1], bp[j]], or is bp[0] when E is the full capacity
-        bp_lo = bp[rows, np.maximum(j - 1, 0)]
         sloped = (j > 0) & (m_lo != m_hi)
         frac = (m_lo - E) / np.where(sloped, m_lo - m_hi, 1.0)
-        theta = np.where(sloped, bp_lo + frac * (bp[rows, j] - bp_lo), bp_lo)
+        theta = np.where(sloped, bp_lo + frac * (bp_hi - bp_lo), bp_lo)
         out = (points - theta[:, None]).clip(0.0, x_max)
         # the clip keeps the box exact; polish the equality to 1e-10 by nudging
         # the strictly interior coordinates of each row uniformly

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from dagopt import engine
 from dagopt.errors import ConfigError, DagoptError
 from dagopt.harness import cli, config
 from dagopt.harness.config import (
@@ -219,6 +220,69 @@ class TestSeedChunks:
         assert outputs[5] == outputs[1]
 
 
+def legacy_truthfulness_job(cfg, seeds, scenario):
+    """The four-runs-per-seed loop that ``_truthfulness_job`` replaced, kept as
+    its bit-for-bit reference: per seed, the noise-injected and the noise-free
+    pair, each on the true and on the perturbed demand.  Returns per seed
+    (seed, gain_alg1, gain_naive, inflation)."""
+    from dagopt.harness import experiments as ex
+
+    true_problem, W, schedules = config.build_instance(cfg)
+    true_spec = true_problem.meta["spec"]
+    psi_cap = true_problem.meta["psi_cap"]
+    fake_problem = ex.ev_problem(perturb_spec(true_spec, scenario), psi_cap=psi_cap)
+    T = cfg.truthful_T
+    window = np.zeros(true_spec.d.shape[1], dtype=bool)
+    window[scenario.pivot_slot:] = True
+
+    def evaluate(final_state):
+        prices_pred = true_spec.price_coeff * np.clip(final_state.psi.mean(axis=0), 0.0, psi_cap) ** true_spec.price_exp
+        x_eval = final_state.x.copy()
+        for i in scenario.agents:
+            x_eval[i] = ex._liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
+        phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
+        psi_eval = np.broadcast_to(phi_eval, (true_problem.m, true_problem.d))
+        cost = sum(true_problem.eval_f_all(x_eval, psi_eval)[list(scenario.agents)])
+        return float(cost), ex.F_value(true_problem, x_eval)
+
+    out = []
+    for seed in seeds:
+        gains = {}
+        for stepper, noise_enabled in (("alg1", True), ("baseline", False)):
+            (cost_p, F_p), (cost_q, F_q) = (
+                evaluate(ex._run(problem, W, schedules, cfg, seed, T, stepper, noise_enabled,
+                                 stride=max(T, 1), track_weighted=False).final_state)
+                for problem in (true_problem, fake_problem)
+            )
+            gains[stepper] = (cost_p - cost_q, F_q - F_p)
+        out.append((seed, gains["alg1"][0], gains["baseline"][0], gains["alg1"][1]))
+    return out
+
+
+class TestTruthfulnessRuns:
+    @pytest.mark.parametrize("x0_policy,noise_free", [("project-zero", 2), ("random-feasible", 6)])
+    def test_noise_free_pair_runs_once_per_distinct_x0(self, monkeypatch, x0_policy, noise_free):
+        # only a random-feasible x0 reads the seed in a noise-free run
+        cfg = dataclasses.replace(parse_config(_SMALL["truthfulness"]), seeds=(0, 1, 2), workers=1,
+                                  x0_policy=x0_policy)
+        scenario = AdjacentScenario(agents=cfg.untruthful_agents, shift_fraction=cfg.shift_fraction,
+                                    pivot_slot=cfg.pivot_slot)
+        ref = legacy_truthfulness_job(cfg, cfg.seeds, scenario)
+        noise = []
+        init_run = engine.init_run
+
+        def spy(*args, **kwargs):
+            noise.append(kwargs["noise_enabled"])
+            return init_run(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "init_run", spy)
+        summary = run_truthfulness_experiment(cfg, scenario)
+        assert noise.count(False) == noise_free
+        assert noise.count(True) == 2 * len(cfg.seeds)
+        assert summary.rows == [(seed, g_alg1, g_naive, summary.eta, inflation)
+                                for seed, g_alg1, g_naive, inflation in ref]
+
+
 class TestEmission:
     def test_convergence_outputs(self, tmp_path):
         cfg = dataclasses.replace(default_config(), T=60, stride=10, seeds=(0, 1))
@@ -414,11 +478,17 @@ class TestCli:
               for kv in ("untruthful_agents =", "untruthful_agents = 20", "untruthful_agents = -1",
                          "untruthful_agents = 2,2", "shift_fraction = -0.1", "shift_fraction = 1.5",
                          "pivot_slot = 0", "pivot_slot = 13")),
+            "[experiment]\nkind = truthfulness\nseeds = 0\n[schedules]\npreset = sec5-truthful\n"
+            "[truthfulness]\ntruthful_T = -5\n",
+            "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 2\n"
+            "[topology]\ntopology = ring\n",
+            "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 0\n",
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
              "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
              "no-untruthful-agent", "untruthful-agent-m", "untruthful-agent-negative", "untruthful-agent-twice",
-             "shift-fraction-negative", "shift-fraction-above-1", "pivot-slot-0", "pivot-slot-13"],
+             "shift-fraction-negative", "shift-fraction-above-1", "pivot-slot-0", "pivot-slot-13",
+             "truthful-T-negative", "ring-m-2", "m-0"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

@@ -207,6 +207,8 @@ def direct_masses(points, x_max):
 class TestBoxBudgetProjection:
     @pytest.mark.parametrize("budget", ["random", "zero", "full"])
     def test_reused_projector_bit_identical_to_legacy_loop(self, budget):
+        rng = np.random.default_rng(22)
+        partial_misses = 0
         for case, (x_max, E, draw) in enumerate(legacy_loop_cases(budget)):
             project = BoxBudgetProjection(x_max, E)
             pts = draw()
@@ -215,6 +217,31 @@ class TestBoxBudgetProjection:
             for call, p in enumerate([pts, pts, pts + 1e-6, pts - 1e-3, draw(), pts]):
                 got = project(p)
                 assert np.array_equal(got, legacy_project_box_budget_batch(p, x_max, E)), (case, call)
+            # small drifts of a few rows: the rows that leave their bracket
+            # send the call to the search, the others keep theirs
+            p = pts.copy()
+            for call in range(50):
+                moved = rng.random(len(p)) < 0.2
+                p[moved] += rng.normal(0.0, 0.05, (moved.sum(), p.shape[1]))
+                hint = project.hint
+                got = project(p)
+                assert np.array_equal(got, legacy_project_box_budget_batch(p, x_max, E)), (case, "drift", call)
+                kept = project.hint == hint
+                partial_misses += bool(kept.any() and not kept.all())
+            # a used projector whose hint is assigned between calls: a copy
+            # of its own, an earlier one, and stale ones
+            earlier = project.hint
+            project(draw())
+            nbp = 2 * pts.shape[1]
+            for call, hint in enumerate([project.hint.copy(), earlier, np.zeros(len(p)), rng.integers(0, nbp, len(p)),
+                                         np.full(len(p), nbp - 1)]):
+                project.hint = hint.astype(np.intp)
+                p = draw()
+                got = project(p)
+                assert np.array_equal(got, legacy_project_box_budget_batch(p, x_max, E)), (case, "assigned", call)
+                assert np.array_equal(project(p), got), (case, "assigned", call)
+        # a full budget brackets at j = 0 whatever the points
+        assert partial_misses > 0 or budget == "full"
 
     @pytest.mark.parametrize("budget", ["random", "zero", "full"])
     def test_stale_hints_do_not_change_the_result(self, budget):
