@@ -143,6 +143,8 @@ def _cmd_privacy_report(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.points < 1:  # a check over no points would pass
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     cfg = _load_cfg(args.config)
     problem = build_problem(cfg)
     worst = 0.0
@@ -158,6 +160,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
+    if args.draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {args.draws}")
+    if args.horizon < 0:
+        raise ConfigError(f"horizon must be >= 0, got {args.horizon}")
     results = privacy.check_lemma2_bounds(args.draws, args.horizon, seed=args.seed)
     bad = [r for r in results if r.violated]
     worst = max(r.max_ratio for r in results)

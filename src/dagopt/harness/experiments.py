@@ -300,8 +300,7 @@ def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], scenario: Adjacen
             x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
         # realized prices come from actual schedules and TRUE demands
         phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
-        psi_eval = np.broadcast_to(phi_eval, (true_problem.m, true_problem.d))
-        cost = sum(true_problem.eval_f_all(x_eval, psi_eval)[list(scenario.agents)])
+        cost = sum(true_problem.eval_f_all(x_eval, phi_eval[None, :])[list(scenario.agents)])
         return float(cost), F_value(true_problem, x_eval)
 
     def gains(seed, stepper, noise_enabled):

@@ -5,13 +5,16 @@ and w_ii = -sum_{j in N_i} w_ij, so both row and column sums vanish and
 I + W is doubly stochastic whenever edge_weight * max_degree <= 1.  Its
 eigenvalues must satisfy -1 < delta_m <= ... <= delta_2 < delta_1 = 0 with
 a simple zero eigenvalue (connected network).  The privacy budget reads
-w_hat = min_i |w_ii|, which ``WeightMatrix`` derives from W itself (0 for a
-single agent).
+w_hat = min_i |w_ii| (0 for a single agent).
 
-Mixing costs O(edges): each agent combines only its neighbours' rows,
-through a neighbour table built once per matrix.  The spectral certificate
-also costs O(edges) for the uniform-weight matrix W = -edge_weight * L (L the
-graph Laplacian), through two classical bounds on L's spectrum:
+W is never dense on the run path: ``build_weight_matrix`` builds the
+neighbour table and the diagonal straight from the edge list, and mixing
+costs O(edges), each agent combining only its neighbours' rows.  The dense
+W is made only on request (``WeightMatrix.matrix``): for the tests, for
+``validate_assumption2`` and for the build's fallback eigen-solve below.
+The spectral certificate also costs O(edges) for the uniform-weight matrix
+W = -edge_weight * L (L the graph Laplacian), through two classical bounds
+on L's spectrum:
 
 - lambda_max(L) <= max over edges ij of d_i + d_j (Anderson and Morley,
   "Eigenvalues of the Laplacian of a graph", Linear and Multilinear Algebra
@@ -28,7 +31,7 @@ checks any given matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .errors import DisconnectedTopology, InfeasibleDegree, SpectralViolation
 
 _SPECTRAL_TOL = 1e-9
 _SUM_TOL = 1e-12
+_ROW_BLOCK = 1 << 16  # elements per dense block of rows in the diagonal's sum
 
 
 @dataclass(frozen=True)
@@ -93,42 +97,67 @@ class Topology:
         return self.eccentricity() is not None
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
-    """Mixing matrix and its neighbour table.
+    """Mixing matrix as a padded neighbour table and a diagonal: W is never
+    dense on the run path.
 
-    At construction the off-diagonal nonzeros of ``matrix`` become a padded
-    neighbour table: slot k holds, for every agent, its k-th neighbour in
+    Slot k of the table holds, for every agent, its k-th neighbour in
     ascending column order and that neighbour's weight; an agent with fewer
     neighbours is padded with itself at weight 0.  ``diag`` and
     ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii, and
-    ``w_hat`` is min_i |w_ii| (0 for a single agent)."""
+    ``w_hat`` is min_i |w_ii| (0 for a single agent).  ``from_edges`` builds
+    W = -weight * L from an edge list; ``from_dense`` takes any square array
+    and ``matrix`` makes the dense W, both for checks off the run path."""
 
-    matrix: np.ndarray
-    w_hat: float = field(init=False)
-    diag: np.ndarray = field(init=False, repr=False, compare=False)
-    one_plus_diag: np.ndarray = field(init=False, repr=False, compare=False)
-    _nbr: np.ndarray = field(init=False, repr=False, compare=False)  # (slots, m)
-    _wgt: np.ndarray = field(init=False, repr=False, compare=False)  # (slots, m, 1)
-
-    def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
-        support = (A != 0) & ~np.eye(self.m, dtype=bool)
-        rows, cols = np.divmod(np.flatnonzero(support), self.m)  # row-major: columns ascend
+    def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, diag: np.ndarray):
+        # (rows, cols, vals): the off-diagonal nonzeros in row-major order
         slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # rank within the row
         # at least one slot, so that an edgeless W (m = 1) mixes to zeros
-        nbr = np.tile(np.arange(self.m), (int(slot.max(initial=0)) + 1, 1))
+        nbr = np.tile(np.arange(m), (int(slot.max(initial=0)) + 1, 1))
         wgt = np.zeros(nbr.shape + (1,))
-        nbr[slot, rows], wgt[slot, rows, 0] = cols, A[rows, cols]
-        diag = np.diag(A)[:, None].copy()
-        object.__setattr__(self, "w_hat", float(np.abs(diag).min()) if self.m > 1 else 0.0)
+        nbr[slot, rows], wgt[slot, rows, 0] = cols, vals
+        diag = np.array(diag, dtype=float).reshape(m, 1)
+        self.m = m
+        self.w_hat = float(np.abs(diag).min()) if m > 1 else 0.0
         for name, value in (("diag", diag), ("one_plus_diag", 1.0 + diag), ("_nbr", nbr), ("_wgt", wgt)):
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
+
+    @classmethod
+    def from_dense(cls, A) -> WeightMatrix:
+        """From the off-diagonal nonzeros and the diagonal of a square array."""
+        A = np.asarray(A, dtype=float)
+        m = A.shape[0]
+        rows, cols = np.divmod(np.flatnonzero((A != 0) & ~np.eye(m, dtype=bool)), m)  # columns ascend
+        return cls(m, rows, cols, A[rows, cols], np.diag(A))
+
+    @classmethod
+    def from_edges(cls, m: int, edge_index: np.ndarray, weight: float) -> WeightMatrix:
+        """w_ij = w_ji = weight on every edge and w_ii = -sum_j w_ij.  The row
+        sums are taken over dense blocks of rows, so that w_ii has the bits of
+        ``-W.sum(axis=1)`` on the dense W; a sum in neighbour order differs in
+        the last bit."""
+        i, j = edge_index.T
+        keys = np.concatenate([i * m + j, j * m + i])
+        keys.sort()  # row-major: columns ascend within a row
+        rows, cols = np.divmod(keys, m)
+        diag = np.empty(m)
+        step = max(1, _ROW_BLOCK // max(m, 1))
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            a, b = np.searchsorted(rows, (lo, hi))
+            block = np.zeros((hi - lo, m))
+            block[rows[a:b] - lo, cols[a:b]] = weight
+            np.negative(block.sum(axis=1), out=diag[lo:hi])
+        return cls(m, rows, cols, np.full(rows.size, float(weight)), diag)
 
     @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense m x m W, made on each call."""
+        A = np.zeros((self.m, self.m))
+        A[np.arange(self.m), self._nbr] = self._wgt[..., 0]
+        np.fill_diagonal(A, self.diag[:, 0])
+        return A
 
     def offdiag(self, v: np.ndarray) -> np.ndarray:
         """sum_{j != i} w_ij v_j for every agent i, from the (m, d) block v,
@@ -179,16 +208,12 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
     raise InfeasibleDegree(f"could not generate a simple connected {k}-regular graph on {m} vertices")
 
 
-def uniform_weights(topology: Topology, edge_weight: float) -> np.ndarray:
-    """The dense uniform-weight matrix -edge_weight * L (L the graph Laplacian), uncertified."""
+def uniform_weights(topology: Topology, edge_weight: float) -> WeightMatrix:
+    """The uniform-weight matrix -edge_weight * L (L the graph Laplacian), uncertified."""
     if not (0 < edge_weight < np.inf):
         raise ValueError(f"edge_weight must be finite and > 0, got {edge_weight}")
-    e = topology.edge_index
-    W = np.zeros((topology.m, topology.m))
-    W[e[:, 0], e[:, 1]] = edge_weight
-    W[e[:, 1], e[:, 0]] = edge_weight
-    np.fill_diagonal(W, -W.sum(axis=1))
-    if W.diagonal().min() == -np.inf:  # then delta_m <= min_i w_ii = -inf
+    W = WeightMatrix.from_edges(topology.m, topology.edge_index, edge_weight)
+    if W.diag.min() == -np.inf:  # then delta_m <= min_i w_ii = -inf
         raise SpectralViolation(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
     return W
 
@@ -211,12 +236,12 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     band = edge_weight * float((deg[e[:, 0]] + deg[e[:, 1]]).max(initial=0)) < 1.0 - _SPECTRAL_TOL
     gap = m == 1 or edge_weight * 4.0 / (m * 2 * ecc) > _SPECTRAL_TOL
     if not (band and gap):
-        eig = np.sort(np.linalg.eigvalsh(W))[::-1]
+        eig = np.sort(np.linalg.eigvalsh(W.matrix))[::-1]
         if eig[-1] <= -1.0 + _SPECTRAL_TOL:
             raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
         if m > 1 and eig[1] >= -_SPECTRAL_TOL:
             raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
-    return WeightMatrix(matrix=W)
+    return W
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 from .base import AggregativeProblem, ProblemConstants, aggregate, F_value, F_grad
-from .projections import project_box_budget
 from .ev import EVChargingSpec, ev_problem, desk_ev_spec
 from .synthetic import synthetic_problem
 from .oracle import OracleSolution, centralized_oracle
@@ -11,7 +10,6 @@ __all__ = [
     "aggregate",
     "F_value",
     "F_grad",
-    "project_box_budget",
     "EVChargingSpec",
     "ev_problem",
     "desk_ev_spec",

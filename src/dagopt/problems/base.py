@@ -11,7 +11,9 @@ Conventions
 -----------
 - x is stacked as an (m, n) array (uniform per-agent dimension n).
 - psi is stacked as an (m, d) array: row i is the aggregate estimate at
-  which agent i evaluates its own f_i.
+  which agent i evaluates its own f_i.  It only has to broadcast against
+  x's agent axis: F_value and F_grad pass phi(x) as one (..., 1, d) row,
+  so a price of phi is computed once per slot, not once per agent.
 - f_all, g_all, grad1_all, grad2_all and gg_apply_all, and with them
   aggregate, F_value and F_grad, also accept leading batch axes: a
   (B, m, n) stack of iterates gives, row for row, bit for bit what B
@@ -101,15 +103,10 @@ def aggregate(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
     return problem.eval_g_all(x).mean(axis=-2)
 
 
-def _per_agent(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """phi broadcast to every agent's row of x: (..., d) -> (..., m, d)."""
-    return np.broadcast_to(phi[..., None, :], x.shape[:-1] + phi.shape[-1:])
-
-
 def F_value(problem: AggregativeProblem, x: np.ndarray) -> float | np.ndarray:
     """F(x) = sum_i f_i(x^i, phi(x)): a float for one (m, n) iterate, a
     (B,) array for a (B, m, n) stack."""
-    psi = _per_agent(aggregate(problem, x), x)
+    psi = aggregate(problem, x)[..., None, :]
     vals = problem.eval_f_all(x, psi).sum(axis=-1)
     return float(vals) if vals.ndim == 0 else vals
 
@@ -119,6 +116,7 @@ def F_grad(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
 
     grad F(x)^i = grad1_f_i(x^i, phi) + grad_g_i(x^i) @ mean_j grad2_f_j(x^j, phi).
     """
-    psi = _per_agent(aggregate(problem, x), x)
-    g2bar = problem.eval_grad2_all(x, psi).mean(axis=-2)
-    return problem.eval_grad1_all(x, psi) + problem.apply_grad_g_all(x, _per_agent(g2bar, x))
+    psi = aggregate(problem, x)[..., None, :]
+    g2bar = problem.eval_grad2_all(x, psi).mean(axis=-2, keepdims=True)
+    g2bar = np.broadcast_to(g2bar, x.shape[:-1] + g2bar.shape[-1:])  # to every agent's row
+    return problem.eval_grad1_all(x, psi) + problem.apply_grad_g_all(x, g2bar)

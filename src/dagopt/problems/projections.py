@@ -100,17 +100,3 @@ class BoxBudgetProjection:
                 nudge = free & polish[:, None]
                 out = np.where(nudge, out + (gap / np.maximum(nfree, 1))[:, None], out).clip(0.0, x_max)
         return out
-
-
-def project_box_budget_batch(points: np.ndarray, x_max: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """One-shot row-wise projection onto {0 <= x <= x_max[i], 1'x = E[i]}."""
-    return BoxBudgetProjection(x_max, E)(points)
-
-
-def project_box_budget(point: np.ndarray, x_max: np.ndarray, E: float) -> np.ndarray:
-    """Projection onto {0 <= x <= x_max, 1'x = E} (single row)."""
-    return project_box_budget_batch(
-        np.asarray(point, dtype=float)[None, :],
-        np.asarray(x_max, dtype=float)[None, :],
-        np.array([E], dtype=float),
-    )[0]

@@ -52,7 +52,7 @@ class TestStep:
         # gamma1 * grad2_f, so the x update collapses to a projected
         # gradient step on the composite objective.
         prob = synthetic_problem("strongly-convex", 1, 4, 3, seed=0)
-        W = WeightMatrix(matrix=np.zeros((1, 1)))
+        W = WeightMatrix.from_dense(np.zeros((1, 1)))
         sch = build_schedules(default_config())
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         for t in range(5):
@@ -402,12 +402,14 @@ class TestBlockedMetrics:
             prob = synthetic_problem(kind, self.M, 13, 13, seed=0)
             oracle = centralized_oracle(prob) if kind == "strongly-convex" else None
             out[kind] = (prob, W, oracle)
+        ev = ev_problem(desk_ev_spec(self.M))
+        out["ev"] = (ev, W, centralized_oracle(ev))
         return out
 
     def both(self, instances, kind="strongly-convex", seed=1, **kwargs):
         prob, W, oracle = instances[kind]
         sch = build_schedules(default_config())
-        if kind == "strongly-convex":
+        if oracle is not None:
             kwargs.setdefault("oracle", oracle)
         runs = []
         for runner in (engine.run, legacy_run):
@@ -434,6 +436,13 @@ class TestBlockedMetrics:
 
     def test_baseline_stepper(self, instances):
         assert_same_run(*self.both(instances, T=70, stride=3, stepper="baseline", baseline_lambda=0.05))
+
+    @pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+    def test_ev_instance(self, instances, stepper):
+        # F and grad F take phi as one row per iterate, priced once per slot
+        blocked, legacy = self.both(instances, kind="ev", T=100, stride=7, stepper=stepper)
+        assert engine.metrics_block(instances["ev"][0]) == 31
+        assert_same_run(blocked, legacy)
 
     def test_nonconvex_without_oracle(self, instances):
         blocked, legacy = self.both(instances, kind="nonconvex", T=50, stride=4)

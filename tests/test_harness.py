@@ -360,6 +360,28 @@ class TestCli:
     def test_lemma2_subcommand(self):
         assert cli.main(["lemma2", "5", "200", "--seed", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["lemma2", "0", "5"], "draws must be >= 1, got 0"),
+            (["lemma2", "3", "-2"], "horizon must be >= 0, got -2"),
+            (["gradcheck", "CFG", "--points", "0"], "--points must be >= 1, got 0"),
+            (["gradcheck", "CFG", "--points", "-3"], "--points must be >= 1, got -3"),
+        ],
+        ids=["lemma2-no-draws", "lemma2-negative-horizon", "gradcheck-no-points", "gradcheck-negative-points"],
+    )
+    def test_count_argument_out_of_range_exits_2_with_one_error_line(self, tmp_path, capsys, argv, message):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text("[experiment]\nkind = gradcheck\n")
+        assert cli.main([str(cfg_path) if a == "CFG" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_lemma2_zero_horizon_runs(self, capsys):
+        assert cli.main(["lemma2", "3", "0"]) == 0
+        assert capsys.readouterr().out.startswith("3 draws over horizon 0: ")
+
     def test_validate_graph_subcommand(self, tmp_path):
         from dagopt.network import generate_k_regular, save_edgelist
 

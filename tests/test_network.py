@@ -1,5 +1,7 @@
 """Topologies, the symmetric weight matrix, and its spectral admissibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,10 +238,10 @@ class TestWeightMatrix:
 
     def test_certificate_verdicts_unaffected_by_offdiag(self):
         good = build_weight_matrix(ring_topology(8), 0.2)
-        for W in (good, WeightMatrix(matrix=good.matrix)):
+        for W in (good, WeightMatrix.from_dense(good.matrix)):
             assert validate_assumption2(W) == validate_assumption2(good.matrix)
             assert validate_assumption2(W).ok
-        bad = WeightMatrix(matrix=np.array([[-0.5, 0.5], [0.4, -0.4]]))
+        bad = WeightMatrix.from_dense(np.array([[-0.5, 0.5], [0.4, -0.4]]))
         assert np.array_equal(bad.offdiag(np.array([[1.0], [2.0]])), [[1.0], [0.4]])
         cert = validate_assumption2(bad)
         assert not cert.ok
@@ -258,17 +260,17 @@ class TestEdgeMixing:
     def test_equals_ascending_neighbour_loop(self, case):
         A = self.CASES[case]()
         v = np.random.default_rng(1).standard_normal((A.shape[0], 13))
-        assert np.array_equal(WeightMatrix(matrix=A).offdiag(v), neighbour_loop(A, v))
+        assert np.array_equal(WeightMatrix.from_dense(A).offdiag(v), neighbour_loop(A, v))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_close_to_dense_product(self, case):
         A = self.CASES[case]()
         v = np.random.default_rng(2).standard_normal((A.shape[0], 5))
         dense = (A - np.diag(np.diag(A))) @ v
-        assert np.abs(WeightMatrix(matrix=A).offdiag(v) - dense).max() <= 1e-15 * np.abs(v).max()
+        assert np.abs(WeightMatrix.from_dense(A).offdiag(v) - dense).max() <= 1e-15 * np.abs(v).max()
 
     def test_single_agent_mixes_to_zero(self):
-        W = WeightMatrix(matrix=np.zeros((1, 1)))
+        W = WeightMatrix.from_dense(np.zeros((1, 1)))
         out = W.offdiag(np.ones((1, 4)))
         assert out.shape == (1, 4) and not out.any()
 
@@ -277,3 +279,67 @@ class TestEdgeMixing:
         assert np.array_equal(W.diag[:, 0], np.diag(W.matrix))
         assert np.array_equal(W.one_plus_diag[:, 0], 1.0 + np.diag(W.matrix))
         assert not W.diag.flags.writeable and not W.one_plus_diag.flags.writeable
+
+
+class TestEdgeBuild:
+    """W is built from the edge list; every array it holds has the bits of
+    the one derived from the dense W, whose diagonal is -W.sum(axis=1)."""
+
+    TOPOLOGIES = {
+        "ring-m9": lambda: ring_topology(9),
+        "star-m100": lambda: _star(100),
+        "complete-m40": lambda: complete_topology(40),
+        "ring-chords-m16": lambda: _ring_with_chords(16),
+        "4-regular-m1000": lambda: generate_k_regular(1000, 4, seed=0),
+    }
+
+    @staticmethod
+    def assert_same_bits(W, dense):
+        ref = WeightMatrix.from_dense(dense)
+        assert W.m == ref.m
+        assert W.diag.tobytes() == ref.diag.tobytes()
+        assert W.one_plus_diag.tobytes() == ref.one_plus_diag.tobytes()
+        assert W.w_hat == ref.w_hat
+        assert W.matrix.tobytes() == dense.tobytes()
+        v = np.random.default_rng(3).standard_normal((W.m, 7))
+        assert W.offdiag(v).tobytes() == ref.offdiag(v).tobytes()
+        assert np.array_equal(W.offdiag(v), neighbour_loop(dense, v))  # padding adds 0 * v, maybe -0.0
+
+    @pytest.mark.parametrize("case", sorted(TOPOLOGIES))
+    def test_build_equals_dense_build(self, case):
+        topo = self.TOPOLOGIES[case]()
+        rng = np.random.default_rng(sorted(self.TOPOLOGIES).index(case))
+        for u in rng.uniform(0.05, 0.95, 4):
+            weight = u / (2 * topo.degrees().max())  # inside the degree bound
+            self.assert_same_bits(build_weight_matrix(topo, weight), dense_weight_matrix(topo, weight))
+
+    def test_diagonal_is_not_summed_in_neighbour_order(self):
+        # on this graph the two orders differ in the last bit, so the test
+        # above checks how w_ii is summed, not only which terms it sums
+        topo = complete_topology(40)
+        W = build_weight_matrix(topo, 0.01)
+        dense = dense_weight_matrix(topo, 0.01)
+        in_order = np.zeros(40)
+        for i, j in sorted(topo.edges + tuple((j, i) for i, j in topo.edges)):
+            in_order[i] -= dense[i, j]
+        assert W.diag[:, 0].tobytes() == np.diag(dense).tobytes()  # -W.sum(axis=1) before the fill
+        assert (in_order != W.diag[:, 0]).any()
+
+    def test_build_at_m4000_allocates_no_dense_matrix(self):
+        topo = generate_k_regular(4000, 4, seed=0)
+        tracemalloc.start()
+        try:
+            W = build_weight_matrix(topo, 0.12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.m == 4000 and W.w_hat == pytest.approx(0.48)
+        assert peak < 4 * 2**20, peak  # a dense W alone takes 122 MiB
+
+    def test_single_agent_mixes_to_zero(self):
+        topo = Topology(1, ())
+        W = build_weight_matrix(topo, 0.12)
+        self.assert_same_bits(W, dense_weight_matrix(topo, 0.12))
+        assert W.w_hat == 0.0
+        out = W.offdiag(np.ones((1, 4)))
+        assert out.shape == (1, 4) and not out.any()

@@ -13,8 +13,13 @@ from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
 from dagopt.problems.oracle import centralized_oracle
-from dagopt.problems.projections import BoxBudgetProjection, project_box_budget, project_box_budget_batch
+from dagopt.problems.projections import BoxBudgetProjection
 from dagopt.problems.synthetic import synthetic_problem
+
+
+def project_row(point, x_max, E):
+    """One row through a fresh BoxBudgetProjection."""
+    return BoxBudgetProjection(np.atleast_2d(x_max), [E])(np.atleast_2d(point))[0]
 
 
 def bisection_projection(point, x_max, E, iters=200):
@@ -78,7 +83,7 @@ class TestProjection:
             x_max = rng.uniform(0.5, 5.0, K)
             point = rng.normal(0.0, 4.0, K)
             E = float(rng.uniform(0.0, x_max.sum()))
-            got = project_box_budget(point, x_max, E)
+            got = project_row(point, x_max, E)
             ref = bisection_projection(point, x_max, E)
             assert np.allclose(got, ref, atol=1e-9)
             assert got.sum() == pytest.approx(E, abs=1e-9)
@@ -92,7 +97,7 @@ class TestProjection:
         point = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=K, max_size=K)))
         frac = data.draw(st.floats(0.0, 1.0))
         E = frac * x_max.sum()
-        out = project_box_budget(point, x_max, E)
+        out = project_row(point, x_max, E)
         assert out.sum() == pytest.approx(E, abs=1e-8)
         assert np.all(out >= -1e-10) and np.all(out <= x_max + 1e-10)
         # projection onto a convex set: <p - out, z - out> <= 0 for feasible z,
@@ -101,26 +106,26 @@ class TestProjection:
         assert np.dot(point - out, z - out) <= 1e-8
 
     def test_zero_budget_gives_zeros(self):
-        out = project_box_budget(np.array([1.0, -2.0, 3.0]), np.ones(3), 0.0)
+        out = project_row(np.array([1.0, -2.0, 3.0]), np.ones(3), 0.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_full_budget_gives_upper_bounds(self):
         x_max = np.array([1.0, 2.0, 0.5])
-        out = project_box_budget(np.array([-5.0, 0.0, 9.0]), x_max, x_max.sum())
+        out = project_row(np.array([-5.0, 0.0, 9.0]), x_max, x_max.sum())
         assert np.allclose(out, x_max)
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(InfeasibleBudget):
-            project_box_budget(np.zeros(3), np.ones(3), 4.0)
+            project_row(np.zeros(3), np.ones(3), 4.0)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(0.0, 3.0, (6, 5))
         x_max = rng.uniform(0.5, 4.0, (6, 5))
         E = np.array([0.3 * row.sum() for row in x_max])
-        got = project_box_budget_batch(pts, x_max, E)
+        got = BoxBudgetProjection(x_max, E)(pts)
         for i in range(6):
-            assert np.array_equal(got[i], project_box_budget(pts[i], x_max[i], E[i]))
+            assert np.array_equal(got[i], project_row(pts[i], x_max[i], E[i]))
 
     @pytest.mark.parametrize("budget", ["random", "zero", "full"])
     def test_bit_identical_to_legacy_loop(self, budget):
@@ -139,7 +144,7 @@ class TestProjection:
             E = {"random": rng.uniform(0.0, 1.0, m) * x_max.sum(axis=1), "zero": np.zeros(m), "full": x_max.sum(axis=1)}[
                 budget
             ]
-            got = project_box_budget_batch(pts, x_max, E)
+            got = BoxBudgetProjection(x_max, E)(pts)
             assert np.array_equal(got, legacy_project_box_budget_batch(pts, x_max, E)), (trial, m, K)
 
     def test_non_finite_rows_match_legacy_loop(self):
@@ -151,7 +156,7 @@ class TestProjection:
         E = 0.4 * x_max.sum(axis=1)
         pts[1, 3] = np.nan
         pts[4] = np.nan
-        got = project_box_budget_batch(pts, x_max, E)
+        got = BoxBudgetProjection(x_max, E)(pts)
         assert np.array_equal(got, legacy_project_box_budget_batch(pts, x_max, E), equal_nan=True)
         assert np.isfinite(np.delete(got[1], 3)).all()
 
@@ -165,7 +170,7 @@ class TestProjection:
         polished = []
         ref = legacy_project_box_budget_batch(pts, x_max, E, polished)
         assert len(polished) > 100
-        assert np.array_equal(project_box_budget_batch(pts, x_max, E), ref)
+        assert np.array_equal(BoxBudgetProjection(x_max, E)(pts), ref)
 
 
 def legacy_loop_cases(budget):
@@ -428,7 +433,7 @@ def reference_interior_point(prob, seed, pull=0.25):
         if "spec" in prob.meta:
             spec = prob.meta["spec"]
             E_i, x_max_i = float(spec.E[i]), spec.x_max[i]
-            rand_pt = project_box_budget(rng.uniform(0.0, 1.0, prob.n) * x_max_i, x_max_i, E_i)
+            rand_pt = project_row(rng.uniform(0.0, 1.0, prob.n) * x_max_i, x_max_i, E_i)
             x[i] = 0.7 * np.full(prob.n, E_i / prob.n) + 0.3 * rand_pt
         else:
             x[i] = np.clip((1.0 - pull) * rng.uniform(-1.0, 1.0, size=prob.n), -1.0, 1.0)
