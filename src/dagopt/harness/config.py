@@ -117,10 +117,14 @@ class ExperimentConfig:
             raise ConfigError("T and truthful_T must be >= 0 and stride >= 1")
         if self.m < 1 or (self.topology == "ring" and self.m < 3):
             raise ConfigError(f"m must be >= 1, and >= 3 for a ring, got m = {self.m}")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if not all(0 <= s < 1 << 64 for s in self.seeds):  # the noise streams' key range
-            raise ConfigError(f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
+        if self.n < 1 or self.d < 1 or self.workers < 1:
+            raise ConfigError(f"n, d and workers must be >= 1, got {self.n}, {self.d} and {self.workers}")
+        # the noise streams' key range, and Philox's for the instance seeds
+        if not 0 < len(self.seeds) == len(set(self.seeds)) or not all(0 <= s < 1 << 64 for s in self.seeds):
+            raise ConfigError(f"seeds must be one or more distinct values in [0, 2**64), got {list(self.seeds)}")
+        if not all(0 <= s < 1 << 128 for s in (self.problem_seed, self.topology_seed)):
+            raise ConfigError(f"problem_seed and topology_seed must lie in [0, 2**128), "
+                              f"got {self.problem_seed} and {self.topology_seed}")
         if not (0 < self.edge_weight < math.inf):
             raise ConfigError(f"edge_weight must be finite and > 0, got {self.edge_weight}")
         # inputs a run would ignore: the EV instance always has K_SLOTS hourly

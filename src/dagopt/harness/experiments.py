@@ -1,11 +1,11 @@
 """The three experiment families (convergence, noise-robustness,
 truthfulness) plus deterministic output emission.
 
-Each experiment splits its seeds into ``workers`` contiguous chunks.  A
-chunk builds its problem, network and schedules once and runs its seeds on
-them in order; several chunks run in separate processes, since problems hold
-closures and do not pickle.  Per-seed results are folded in seed order, so
-the outputs are byte-identical for any worker count.  Within a chunk, the
+Each experiment builds its problem, network and schedules (truthfulness
+also its perturbed problem) once and splits its seeds into ``workers``
+contiguous chunks that run on them; problems pickle, so a chunk in another
+process gets a copy.  Per-seed results are folded in seed order, so the
+outputs are byte-identical for any worker count.  Within a chunk, the
 truthfulness experiment runs its seed-independent noise-free pair once.
 """
 
@@ -27,7 +27,7 @@ from ..engine import CSV_COLUMNS, MetricsRecord
 from ..errors import DagoptError
 from ..problems import F_value, centralized_oracle, ev_problem
 from ..problems.ev import EVChargingSpec
-from .config import ExperimentConfig, build_instance, build_problem, config_to_text, manifest_hash
+from .config import ExperimentConfig, build_instance, config_to_text, manifest_hash
 from .svgplot import Series, line_plot
 
 _TINY = 1e-18
@@ -44,8 +44,9 @@ RATIO_THRESHOLD = 10.0
 
 def _map_seeds(job, cfg: ExperimentConfig, *args) -> list:
     """Run ``job(cfg, seeds, *args)`` on contiguous chunks of ``cfg.seeds``,
-    one chunk per worker (in-process for a single chunk), and return the
-    per-seed results in seed order."""
+    one chunk per worker (in-process for a single chunk, otherwise with
+    ``args`` pickled to a spawned worker), and return the per-seed results
+    in seed order."""
     seeds = list(cfg.seeds)
     n = min(cfg.workers, len(seeds))
     if n <= 1:
@@ -64,18 +65,11 @@ def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, steppe
     return engine.run(state, T, stepper=stepper, baseline_lambda=cfg.baseline_lambda, **run_kwargs)
 
 
-def _records_job(cfg: ExperimentConfig, seeds: list[int], steppers: tuple[str, ...], oracle):
-    """Each seed's run under each of ``steppers``, in order: per seed,
-    (seed, [(records, diverged_at, weighted_avg_gap, weighted_avg_grad), ...])."""
-    problem, W, schedules = build_instance(cfg)
-    out = []
-    for seed in seeds:
-        runs = [
-            _run(problem, W, schedules, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride, oracle=oracle)
-            for stepper in steppers
-        ]
-        out.append((seed, [(r.records, r.diverged_at, r.weighted_avg_gap, r.weighted_avg_grad) for r in runs]))
-    return out
+def _records_job(cfg: ExperimentConfig, seeds: list[int], instance, steppers: tuple[str, ...], oracle):
+    """Each seed's run on ``instance`` under each of ``steppers``, in order:
+    per seed, (seed, [RunResult, ...])."""
+    return [(seed, [_run(*instance, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride, oracle=oracle)
+                    for stepper in steppers]) for seed in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +123,18 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     scored against the centralized solver; nonconvex ones on the squared
     gradient norm."""
     use_oracle = cfg.problem != "nonconvex"
-    oracle = centralized_oracle(build_problem(cfg)) if use_oracle else None
+    instance = build_instance(cfg)
+    oracle = centralized_oracle(instance[0]) if use_oracle else None
     per_seed: dict[int, list[MetricsRecord]] = {}
     diverged = []
     wgaps, wgrads, finals = [], [], {}
-    for seed, [(records, div_at, wgap, wgrad)] in _map_seeds(_records_job, cfg, ("alg1",), oracle):
-        per_seed[seed] = records
-        if div_at is not None:
+    for seed, [run] in _map_seeds(_records_job, cfg, instance, ("alg1",), oracle):
+        per_seed[seed] = run.records
+        if run.diverged_at is not None:
             diverged.append(seed)
-        wgaps.append(wgap)
-        wgrads.append(wgrad)
-        finals[seed] = records[-1].err_x if use_oracle else records[-1].grad_norm_sq
+        wgaps.append(run.weighted_avg_gap)
+        wgrads.append(run.weighted_avg_grad)
+        finals[seed] = run.records[-1].err_x if use_oracle else run.records[-1].grad_norm_sq
     mean = _mean_records(per_seed)
     metric = "err_x" if use_oracle else "grad_norm_sq"
     slope = fit_loglog_slope(mean, metric, cfg.T / 10.0, cfg.T)
@@ -197,14 +192,14 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
     zeta and one xi block per round from the streams keyed by the seed.
     Each curve gets a divergence verdict (hard divergence, or terminal error
     more than RATIO_THRESHOLD times the error at T_REF)."""
-    oracle = centralized_oracle(build_problem(cfg))
+    instance = build_instance(cfg)
+    oracle = centralized_oracle(instance[0])
     per_seed, verdicts = {}, {}
     base_flagged, alg1_flagged = [], []
-    runs = _map_seeds(_records_job, cfg, ("alg1", "baseline"), oracle)
-    for seed, [(a_recs, a_div, *_), (b_recs, b_div, *_)] in runs:
-        per_seed[seed] = (a_recs, b_recs)
-        va = _verdict(a_recs, a_div)
-        vb = _verdict(b_recs, b_div)
+    for seed, [a_run, b_run] in _map_seeds(_records_job, cfg, instance, ("alg1", "baseline"), oracle):
+        per_seed[seed] = (a_run.records, b_run.records)
+        va = _verdict(a_run.records, a_run.diverged_at)
+        vb = _verdict(b_run.records, b_run.diverged_at)
         verdicts[seed] = (va, vb)
         if vb.flagged:
             base_flagged.append(seed)
@@ -276,25 +271,16 @@ def _liar_schedule(prices: np.ndarray, x_max: np.ndarray, energy: float, window:
     return sched
 
 
-def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], scenario: AdjacentScenario):
-    true_problem, W, schedules = build_instance(cfg)
+def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], instance, fake_problem, scenario: AdjacentScenario):
+    true_problem, W, schedules = instance
     true_spec = true_problem.meta["spec"]
-    psi_cap = true_problem.meta["psi_cap"]
-    fake_problem = ev_problem(perturb_spec(true_spec, scenario), psi_cap=psi_cap)
     T = cfg.truthful_T
-    p = scenario.pivot_slot
-    K = true_spec.d.shape[1]
-    window = np.zeros(K, dtype=bool)
-    window[p:] = True
-
-    def price_of(psi):
-        r = np.clip(psi, 0.0, psi_cap)
-        return true_spec.price_coeff * r**true_spec.price_exp
+    window = np.arange(true_spec.d.shape[1]) >= scenario.pivot_slot
 
     def evaluate(final_state):
         # liars disregard their computed schedule and charge greedily in the
-        # post-pivot window at the prices the run predicts
-        prices_pred = price_of(final_state.psi.mean(axis=0))
+        # post-pivot window at the prices the run predicts, on the psi box
+        prices_pred = true_spec.price(np.minimum(final_state.psi.mean(axis=0), true_spec.psi_cap))
         x_eval = final_state.x.copy()
         for i in scenario.agents:
             x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
@@ -343,13 +329,14 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
     seeds: one under project-zero, one per seed under random-feasible.  Each
     run is followed by a greedy cheapest-window recharge for the perturbed
     agents and a cost evaluation at the realized prices under the TRUE demands."""
-    true_problem, W, schedules = build_instance(cfg)
+    true_problem, W, schedules = instance = build_instance(cfg)
+    fake_problem = ev_problem(perturb_spec(true_problem.meta["spec"], scenario))
     report = privacy.epsilon(cfg.truthful_T, schedules, W)
     c = true_problem.constants
     eta_rep = privacy.eta(report.epsilon, c.L_f1, c.L_f2, c.L_g, c.D_X, c.D_f)
     rows = []
     violations = []
-    for seed, g_alg1, g_naive, inflation in _map_seeds(_truthfulness_job, cfg, scenario):
+    for seed, g_alg1, g_naive, inflation in _map_seeds(_truthfulness_job, cfg, instance, fake_problem, scenario):
         rows.append((seed, g_alg1, g_naive, eta_rep.eta, inflation))
         if g_alg1 > eta_rep.eta:
             violations.append(seed)

@@ -32,6 +32,7 @@ checks any given matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +65,12 @@ class Topology:
             adj[j].append(i)
         return adj
 
-    @property
+    @cached_property
     def edge_index(self) -> np.ndarray:
-        """The edges as an (E, 2) integer array, in ``edges`` order."""
-        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        """The edges as a read-only (E, 2) integer array in ``edges`` order, made once."""
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_index.ravel(), minlength=self.m)

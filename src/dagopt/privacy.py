@@ -220,11 +220,6 @@ class PrivacyReport:
     eps_y: float  # contribution of the gradient-tracker mechanism
 
 
-def _series_exponents(schedules: ScheduleSet):
-    u, _, w1, w2, s_z, s_x = _exponents(schedules)
-    return u - w1 - w2 - s_x, w1 - s_z  # psi-mechanism, y-mechanism
-
-
 def epsilon(T: int | None, schedules: ScheduleSet, W: WeightMatrix | float) -> PrivacyReport:
     """Cumulative privacy budget over t = 1..T (T=None for the infinite
     horizon, evaluated exactly via the Hurwitz zeta function); raises
@@ -234,15 +229,13 @@ def epsilon(T: int | None, schedules: ScheduleSet, W: WeightMatrix | float) -> P
     if not regime.passed:
         fails = "; ".join(f"{c.name} ({c.left:.4g} vs {c.right:.4g})" for c in regime.failures())
         raise RegimeViolation(f"T2-truthful regime fails: {fails} — budget would not be certified finite")
-    p_psi, p_y = _series_exponents(schedules)
+    u, _, w1, w2, s_z, s_x = _exponents(schedules)
+    p_psi, p_y = u - w1 - w2 - s_x, w1 - s_z  # psi-mechanism, y-mechanism
     if T is None and (p_psi <= 1.0 or p_y <= 1.0):
         raise RegimeViolation("infinite-horizon budget requires both series exponents > 1")
-    c1 = c1_constant(schedules, w_hat)
-    c2 = c2_constant(schedules, w_hat)
-    sig_xi = schedules.xi.base
-    sig_zeta = schedules.zeta.base
-    A_psi = math.sqrt(2.0) * c1 * schedules.lam.base / (sig_xi * schedules.gamma1.base * schedules.gamma2.base)
-    A_y = math.sqrt(2.0) * c2 * schedules.gamma1.base / sig_zeta
+    # series coefficients sqrt(2) Delta_0 / sigma: every profile is its base at t = 0
+    A_psi = math.sqrt(2.0) * sensitivity_psi(0, schedules, w_hat) / schedules.xi.base
+    A_y = math.sqrt(2.0) * sensitivity_y(0, schedules, w_hat) / schedules.zeta.base
 
     if T is not None:
         eps_psi = math.fsum(A_psi / (t + 1.0) ** p_psi for t in range(1, T + 1))

@@ -7,6 +7,10 @@ f_i(x^i, psi^i), the aggregate contributions g_i(x^i), the feasible sets X_i
 agents; there is no per-agent form and no fallback loop, so the callables
 the integrator runs are the ones the gradient check validates.
 
+A problem is data plus kernels: each callable is a method of a frozen
+object holding the instance's arrays (``EVChargingSpec``, ``SyntheticData``)
+or a projection object, never a closure, so a problem pickles.
+
 Conventions
 -----------
 - x is stacked as an (m, n) array (uniform per-agent dimension n).

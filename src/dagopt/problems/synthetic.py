@@ -17,6 +17,7 @@ Hessian of F has a negative eigenvalue on X.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,53 @@ from .base import AggregativeProblem, ProblemConstants, F_grad
 
 KINDS = ("strongly-convex", "convex", "nonconvex")
 KAPPA = 0.1  # 0.1 x the unit quadratic curvature scale
+
+
+@dataclass(frozen=True)
+class SyntheticData:
+    """One instance's data; its methods are the kernels (f_*, grad1_* per kind)."""
+
+    a: np.ndarray  # (m, n) strongly convex targets
+    b: np.ndarray  # (m, d) aggregate targets
+    q: np.ndarray  # (m, n) linear costs of the other kinds
+    A: np.ndarray  # (m, d, n)
+    c: np.ndarray  # (m, d)
+    kappa: float
+    psi_lo: np.ndarray  # (d,)
+    psi_hi: np.ndarray
+
+    def f_quadratic(self, x, psi):
+        r = np.clip(psi, self.psi_lo, self.psi_hi) - self.b
+        dx = x - self.a
+        return 0.5 * np.einsum("...in,...in->...i", dx, dx) + 0.5 * np.einsum("...id,...id->...i", r, r)
+
+    def grad1_quadratic(self, x, psi):
+        return x - self.a
+
+    def f_linear(self, x, psi):
+        r = np.clip(psi, self.psi_lo, self.psi_hi) - self.b
+        return np.einsum("in,...in->...i", self.q, x) + 0.5 * np.einsum("...id,...id->...i", r, r)
+
+    def grad1_linear(self, x, psi):
+        return np.broadcast_to(self.q, x.shape).copy()
+
+    def f_sine(self, x, psi):
+        return self.f_linear(x, psi) + self.kappa * np.sin(x).sum(axis=-1)
+
+    def grad1_sine(self, x, psi):
+        return np.broadcast_to(self.q, x.shape) + self.kappa * np.cos(x)
+
+    def grad2_all(self, x, psi):
+        return (np.clip(psi, self.psi_lo, self.psi_hi) - self.b) * ((psi > self.psi_lo) & (psi < self.psi_hi))
+
+    def g_all(self, x):
+        return np.einsum("idn,...in->...id", self.A, x) + self.c
+
+    def gg_apply_all(self, x, v):
+        return np.einsum("idn,...id->...in", self.A, v)
+
+    def project_all(self, x):
+        return np.clip(x, -1.0, 1.0)
 
 
 def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> AggregativeProblem:
@@ -46,49 +94,9 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
     margin = 0.5 * (img_hi - img_lo) + 1.0
     psi_lo = img_lo - margin
     psi_hi = img_hi + margin
-
-    def clamp(psi):
-        return np.clip(psi, psi_lo, psi_hi)
-
-    def inside(psi):
-        return (psi > psi_lo) & (psi < psi_hi)
-
-    if kind == "strongly-convex":
-
-        def f_all(x, psi):
-            r = clamp(psi) - b
-            dx = x - a
-            return 0.5 * np.einsum("...in,...in->...i", dx, dx) + 0.5 * np.einsum("...id,...id->...i", r, r)
-
-        def grad1_all(x, psi):
-            return x - a
-
-    else:
-
-        def f_all(x, psi):
-            r = clamp(psi) - b
-            vals = np.einsum("in,...in->...i", q, x) + 0.5 * np.einsum("...id,...id->...i", r, r)
-            if kappa:
-                vals = vals + kappa * np.sin(x).sum(axis=-1)
-            return vals
-
-        def grad1_all(x, psi):
-            gr = np.broadcast_to(q, x.shape).copy()
-            if kappa:
-                gr += kappa * np.cos(x)
-            return gr
-
-    def grad2_all(x, psi):
-        return (clamp(psi) - b) * inside(psi)
-
-    def g_all(x):
-        return np.einsum("idn,...in->...id", A, x) + c
-
-    def gg_apply_all(x, v):
-        return np.einsum("idn,...id->...in", A, v)
-
-    def project_all(x):
-        return np.clip(x, -1.0, 1.0)
+    data = SyntheticData(a=a, b=b, q=q, A=A, c=c, kappa=kappa, psi_lo=psi_lo, psi_hi=psi_hi)
+    f_all, grad1_all = {"strongly-convex": (data.f_quadratic, data.grad1_quadratic),
+                        "convex": (data.f_linear, data.grad1_linear), "nonconvex": (data.f_sine, data.grad1_sine)}[kind]
 
     corner = np.maximum(np.abs(-1.0 - a), np.abs(1.0 - a))  # per-coord sup |x - a|
     psi_corner = np.maximum(np.abs(psi_lo[None, :] - b), np.abs(psi_hi[None, :] - b))
@@ -121,11 +129,11 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         psi_hi=psi_hi,
         name=f"synthetic-{kind}",
         f_all=f_all,
-        g_all=g_all,
+        g_all=data.g_all,
         grad1_all=grad1_all,
-        grad2_all=grad2_all,
-        gg_apply_all=gg_apply_all,
-        project_all=project_all,
+        grad2_all=data.grad2_all,
+        gg_apply_all=data.gg_apply_all,
+        project_all=data.project_all,
         meta={"a": a, "b": b, "q": q, "A": A, "c": c, "kappa": kappa, "kind": kind, "seed": seed},
     )
     if kind == "nonconvex":

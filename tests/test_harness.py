@@ -150,6 +150,12 @@ class TestPerturbation:
         assert new.d[5, :3].sum() < spec.d[5, :3].sum()
         assert new.d[5, 3:].sum() > spec.d[5, 3:].sum()
 
+    def test_perturbed_spec_keeps_the_psi_cap(self):
+        spec = desk_ev_spec(20)
+        new = perturb_spec(spec, AdjacentScenario(agents=(2, 3), shift_fraction=0.4, pivot_slot=3))
+        assert new.psi_cap == spec.psi_cap
+        assert new.scale == spec.scale and new.dcoeff == spec.dcoeff
+
     def test_zero_shift_is_identity(self):
         spec = desk_ev_spec(20)
         new = perturb_spec(spec, AdjacentScenario(agents=(2,), shift_fraction=0.0, pivot_slot=3))
@@ -201,6 +207,21 @@ class TestSeedChunks:
         _run_kind(cfg)
         assert 1 <= len(calls) <= most
 
+    @pytest.mark.parametrize("kind", ["convergence", "robustness", "truthfulness"])
+    def test_instance_built_once_per_experiment(self, monkeypatch, kind):
+        # the oracle, the privacy budget and every seed chunk share one instance
+        calls = []
+        for name in ("build_weight_matrix", "ev_problem", "synthetic_problem"):
+            def spy(*args, _name=name, _build=getattr(config, name)):
+                calls.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(config, name, spy)
+        cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2), workers=1)
+        _run_kind(cfg)
+        problem = "ev_problem" if cfg.problem == "ev" else "synthetic_problem"
+        assert sorted(calls) == sorted(["build_weight_matrix", problem])
+
     @pytest.mark.parametrize("kind", ["robustness", "truthfulness"])
     def test_outputs_identical_across_worker_counts(self, tmp_path, kind):
         # 5 seeds over 2 workers gives uneven chunks (2 + 3)
@@ -229,8 +250,8 @@ def legacy_truthfulness_job(cfg, seeds, scenario):
 
     true_problem, W, schedules = config.build_instance(cfg)
     true_spec = true_problem.meta["spec"]
-    psi_cap = true_problem.meta["psi_cap"]
-    fake_problem = ex.ev_problem(perturb_spec(true_spec, scenario), psi_cap=psi_cap)
+    psi_cap = true_spec.psi_cap
+    fake_problem = ex.ev_problem(perturb_spec(true_spec, scenario))
     T = cfg.truthful_T
     window = np.zeros(true_spec.d.shape[1], dtype=bool)
     window[scenario.pivot_slot:] = True
@@ -505,12 +526,20 @@ class TestCli:
             "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 2\n"
             "[topology]\ntopology = ring\n",
             "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 0\n",
+            *(f"[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 6\nn = 4\nd = 4\n"
+              f"problem_seed = {s}\n" for s in ("-1", str(1 << 128))),
+            "[experiment]\nkind = convergence\nT = 5\n[topology]\ntopology_seed = -1\n",
+            "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = strongly-convex\nm = 6\nn = 0\nd = 4\n",
+            "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = convex\nm = 6\nn = 4\nd = 0\n",
+            "[experiment]\nkind = convergence\nT = 5\nseeds = 0,0\n",
+            "[experiment]\nkind = convergence\nT = 5\nseeds = 0\nworkers = 0\n",
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
              "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
              "no-untruthful-agent", "untruthful-agent-m", "untruthful-agent-negative", "untruthful-agent-twice",
              "shift-fraction-negative", "shift-fraction-above-1", "pivot-slot-0", "pivot-slot-13",
-             "truthful-T-negative", "ring-m-2", "m-0"],
+             "truthful-T-negative", "ring-m-2", "m-0", "problem-seed-negative", "problem-seed-2-to-the-128",
+             "topology-seed-negative", "n-0", "d-0", "seeds-repeated", "workers-0"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

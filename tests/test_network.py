@@ -111,6 +111,12 @@ class TestTopologies:
     def test_k_regular_equals_pairwise_rejection(self, m, k, seed):
         assert generate_k_regular(m, k, seed).edges == legacy_generate_k_regular(m, k, seed)
 
+    def test_edge_index_is_made_once_and_read_only(self):
+        top = generate_k_regular(12, 4, seed=0)
+        e = top.edge_index
+        assert top.edge_index is e and not e.flags.writeable
+        assert e.tolist() == [list(edge) for edge in top.edges]
+
     @pytest.mark.parametrize("topo, ecc", [(ring_topology(8), 4), (_path(5), 4), (_star(12), 1),
                                            (Topology(1, ()), 0), (Topology(4, ((0, 1), (2, 3))), None),
                                            (Topology(0, ()), None)])

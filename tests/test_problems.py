@@ -1,6 +1,7 @@
 """Problem instances: projections, gradients, constants, and the oracle."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagopt.engine import metrics_block
-from dagopt.errors import InfeasibleBudget, PointTooCloseToBoundary
+from dagopt.errors import DagoptError, InfeasibleBudget, PointTooCloseToBoundary
+from dagopt.harness.experiments import AdjacentScenario, perturb_spec
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
@@ -314,6 +316,13 @@ class TestEVInstance:
         assert np.all(spec.E <= spec.x_max.sum(axis=1) + 1e-9)
         assert np.all(spec.d >= 0)
 
+    def test_energy_above_the_rate_caps_is_refused_when_a_spec_is_made(self):
+        spec = desk_ev_spec(4)
+        E = spec.E.copy()
+        E[1] = spec.x_max[1].sum() + 1.0
+        with pytest.raises(DagoptError, match="agent 1"):
+            dataclasses.replace(spec, E=E)
+
     def test_aggregate_is_mean_of_locals(self, desk_problem):
         rng = np.random.default_rng(2)
         x = desk_problem.eval_project_all(rng.uniform(0, 5, (20, 13)))
@@ -324,7 +333,7 @@ class TestEVInstance:
         # L_f1 / L_f2 must dominate observed gradient norms over the clamp box.
         c = desk_problem.constants
         rng = np.random.default_rng(3)
-        cap = desk_problem.meta["psi_cap"]
+        cap = desk_problem.meta["spec"].psi_cap
         for _ in range(50):
             x = desk_problem.eval_project_all(rng.uniform(0, 8, (20, 13)))
             psi = rng.uniform(0.0, cap, (20, 13))
@@ -362,6 +371,42 @@ class TestSynthetic:
     def test_unknown_kind_rejected(self):
         with pytest.raises(Exception):
             synthetic_problem("cubic", 4, 2, 2, seed=0)
+
+
+class TestPickle:
+    """A problem is data plus kernels, so it survives a pickle round trip and
+    the copy's kernels give the original's bytes."""
+
+    @staticmethod
+    def problem(kind):
+        if kind == "ev":
+            return ev_problem(desk_ev_spec(10))
+        if kind == "perturbed-ev":
+            scenario = AdjacentScenario(agents=(2, 3), shift_fraction=0.4, pivot_slot=3)
+            return ev_problem(perturb_spec(desk_ev_spec(10), scenario))
+        return synthetic_problem(kind, 10, 4, 3, seed=1)
+
+    @staticmethod
+    def outputs(prob, x, psi, v):
+        out = [prob.f_all(x, psi), prob.g_all(x), prob.grad1_all(x, psi), prob.grad2_all(x, psi),
+               prob.gg_apply_all(x, v), F_value(prob, x), F_grad(prob, x)]
+        if x.ndim == 2:
+            out.append(prob.project_all(x))
+        return [np.asarray(a).tobytes() for a in out]
+
+    @pytest.mark.parametrize("kind", ["ev", "perturbed-ev", "strongly-convex", "convex", "nonconvex"])
+    def test_round_trip_gives_identical_kernels(self, kind):
+        prob = self.problem(kind)
+        copy = pickle.loads(pickle.dumps(prob))
+        assert (copy.name, copy.m, copy.n, copy.d) == (prob.name, prob.m, prob.n, prob.d)
+        assert copy.constants == prob.constants
+        rng = np.random.default_rng(7)
+        for lead in ((), (3,)):
+            x = rng.uniform(-1.2, 2.0, lead + (prob.m, prob.n))
+            psi = prob.psi_lo + rng.uniform(-0.2, 1.2, lead + (prob.m, prob.d)) * (prob.psi_hi - prob.psi_lo)
+            v = rng.normal(size=lead + (prob.m, prob.d))
+            assert self.outputs(copy, x, psi, v) == self.outputs(prob, x, psi, v)
+        assert np.array_equal(random_interior_point(copy, 3)[0], random_interior_point(prob, 3)[0])
 
 
 class TestBatchAxes:
