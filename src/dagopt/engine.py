@@ -15,7 +15,11 @@ and every receiver sees the same obscured value.  A run owns one zeta stream
 and one xi stream, both keyed by its seed (``schedules.noise_streams``); each
 iteration takes the next block of each, holding every sender's vector (row j
 is sender j).  Both steppers draw each tag once per round, so runs of one
-seed see the same zeta_t and xi_t whichever stepper they use.
+seed see the same zeta_t and xi_t whichever stepper they use.  Every draw
+goes through ``noise_vector``, once per round and tag; the stream behind it
+refills several rounds' blocks at once by a vectorized inverse-CDF pass over
+its Philox uniforms (``schedules.LaplaceStream``), and a block does not
+depend on how many rounds a refill holds.
 
 ``run`` evaluates F(x_t) and grad F(x_t), which the records and the
 lambda-weighted averages need, once per block of iterates rather than once
@@ -41,7 +45,7 @@ from .errors import DagoptError
 from .network import WeightMatrix
 from .problems.base import AggregativeProblem, F_grad, F_value, aggregate
 from .problems.oracle import OracleSolution
-from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, ScheduleSet, noise_streams, noise_vector
+from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, LaplaceStream, ScheduleSet, noise_streams, noise_vector
 
 DIVERGENCE_THRESHOLD = 1e12
 # Bound on the elements of one stacked block of iterates, B * m * max(n, d),
@@ -54,7 +58,7 @@ class RunState:
     problem: AggregativeProblem
     W: WeightMatrix
     schedules: ScheduleSet
-    streams: tuple[np.random.Generator, np.random.Generator] | None  # (zeta, xi); None when noise-free
+    streams: tuple[LaplaceStream, LaplaceStream] | None  # (zeta, xi); None when noise-free
     t: int
     x: np.ndarray  # (m, n)
     y: np.ndarray  # (m, d)

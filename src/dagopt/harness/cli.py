@@ -47,17 +47,26 @@ def _load_cfg(path: str):
     return replace(cfg, output_dir=out) if out else cfg
 
 
+def _warn_unconverged_oracle(oracle) -> None:
+    if oracle is not None and not oracle.converged:
+        print(f"warning: the centralized oracle stopped after {oracle.iterations} iterations at projected-gradient "
+              f"norm {oracle.pg_norm:.3g} without converging; err_x and gap_F are measured against its last iterate",
+              file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
     if cfg.kind == "convergence":
         summary = run_convergence_experiment(cfg)
         emit_outputs(summary, cfg.output_dir)
+        _warn_unconverged_oracle(summary.oracle)
         print(f"convergence: slope={summary.slope:.4f} on {summary.slope_metric}, "
               f"diverged_seeds={list(summary.diverged_seeds)}")
         return EXIT_FAIL if summary.diverged_seeds else EXIT_OK
     if cfg.kind == "robustness":
         summary = run_robustness_experiment(cfg)
         emit_outputs(summary, cfg.output_dir)
+        _warn_unconverged_oracle(summary.oracle)
         nb, na = len(summary.seeds_baseline_flagged), len(summary.seeds_alg1_flagged)
         print(f"robustness: baseline flagged on {nb}/{len(cfg.seeds)} seeds, "
               f"noise-injected tracker flagged on {na}/{len(cfg.seeds)}")

@@ -27,6 +27,7 @@ from ..engine import CSV_COLUMNS, MetricsRecord
 from ..errors import DagoptError
 from ..problems import F_value, centralized_oracle, ev_problem
 from ..problems.ev import EVChargingSpec
+from ..problems.oracle import OracleSolution
 from .config import ExperimentConfig, build_instance, config_to_text, manifest_hash
 from .svgplot import Series, line_plot
 
@@ -67,8 +68,11 @@ def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, steppe
 
 def _records_job(cfg: ExperimentConfig, seeds: list[int], instance, steppers: tuple[str, ...], oracle):
     """Each seed's run on ``instance`` under each of ``steppers``, in order:
-    per seed, (seed, [RunResult, ...])."""
-    return [(seed, [_run(*instance, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride, oracle=oracle)
+    per seed, (seed, [RunResult, ...]).  The results are copies without the
+    final state, so a chunk in another process sends back only its records
+    and scalars; ``engine.run``'s own result is left as it is."""
+    return [(seed, [replace(_run(*instance, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride,
+                                 oracle=oracle), final_state=None)
                     for stepper in steppers]) for seed in seeds]
 
 
@@ -88,6 +92,7 @@ class ConvergenceSummary:
     weighted_avg_gap: float
     weighted_avg_grad: float
     diverged_seeds: tuple[int, ...]
+    oracle: OracleSolution | None  # None for a nonconvex problem
 
 
 def _mean_records(per_seed: dict[int, list[MetricsRecord]]) -> list[MetricsRecord]:
@@ -148,6 +153,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
         weighted_avg_gap=float(np.mean(wgaps)),
         weighted_avg_grad=float(np.mean(wgrads)),
         diverged_seeds=tuple(diverged),
+        oracle=oracle,
     )
 
 
@@ -170,6 +176,7 @@ class RobustnessSummary:
     verdicts: dict[int, tuple[CurveVerdict, CurveVerdict]]
     seeds_baseline_flagged: tuple[int, ...]
     seeds_alg1_flagged: tuple[int, ...]
+    oracle: OracleSolution
 
 
 def _error_at(records: list[MetricsRecord], t: int) -> float:
@@ -211,6 +218,7 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
         verdicts=verdicts,
         seeds_baseline_flagged=tuple(base_flagged),
         seeds_alg1_flagged=tuple(alg1_flagged),
+        oracle=oracle,
     )
 
 
@@ -391,8 +399,41 @@ def _manifest(cfg: ExperimentConfig, extra_lines: list[str]) -> str:
     lines = ["# run manifest", f"config_hash = {manifest_hash(cfg)}"]
     if cfg.problem == "ev":  # the only problem built from the bundled data files
         lines.append(f"input_data_hash = {input_data_hash()}")
-    lines += [*extra_lines, "", body]
+    lines += [*_provenance_lines(), *extra_lines, "", body]
     return "\n".join(lines)
+
+
+def _provenance_lines() -> list[str]:
+    """The package and library versions a run's bits depend on.  Noise draws
+    go through numpy's ``log``, whose SIMD kernel numpy picks per host
+    (AVX-512 against AVX2 may differ at the ulp level), so that choice is
+    recorded too."""
+    import scipy
+
+    from .. import __version__
+
+    try:
+        log_target = np.lib.introspect.opt_func_info(func_name="^log$", signature="float64")["log"]["dd"]["current"]
+    except (AttributeError, KeyError):  # numpy < 2.1 has no dispatch introspection
+        log_target = "unknown"
+    return [
+        f"dagopt_version = {__version__}",
+        f"numpy_version = {np.__version__}",
+        f"scipy_version = {scipy.__version__}",
+        f"numpy_log_target = {log_target}",
+    ]
+
+
+def _oracle_lines(oracle: OracleSolution | None) -> list[str]:
+    """The centralized oracle's stopping state: err_x and gap_F are measured
+    against its x* and F*, which mean what they say only if it converged."""
+    if oracle is None:
+        return []
+    return [
+        f"oracle_iterations = {oracle.iterations}",
+        f"oracle_pg_norm = {oracle.pg_norm!r}",
+        f"oracle_converged = {oracle.converged}",
+    ]
 
 
 def _curve_series(records: list[MetricsRecord], metric: str, label: str) -> Series:
@@ -424,6 +465,7 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
             f"weighted_avg_gap = {summary.weighted_avg_gap!r}",
             f"weighted_avg_grad = {summary.weighted_avg_grad!r}",
             f"diverged_seeds = {list(summary.diverged_seeds)}",
+            *_oracle_lines(summary.oracle),
         ]))
     elif isinstance(summary, RobustnessSummary):
         seed0 = sorted(summary.per_seed)[0]
@@ -443,7 +485,7 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
             f"(ratio {summary.verdicts[s][1].error_ratio:.3g})"
             for s in sorted(summary.verdicts)
         ]
-        emit("manifest.txt", _manifest(summary.cfg, verdict_lines))
+        emit("manifest.txt", _manifest(summary.cfg, [*verdict_lines, *_oracle_lines(summary.oracle)]))
     elif isinstance(summary, TruthfulnessSummary):
         emit("gains.csv", csv_text(("seed", "gain_alg1", "gain_naive", "eta", "global_inflation"), summary.rows))
         emit("manifest.txt", _manifest(summary.cfg, [

@@ -15,6 +15,18 @@ tag, keyed by (seed, tag) with seeds in [0, 2^64).  Each iteration draws the
 noise of every agent at once as the next block of each stream, so a run's
 noise depends only on its seed and the order of its rounds, never on how
 runs are spread over processes.
+
+Kernel: a block is the inverse CDF of numpy's ``random_laplace`` (loc 0)
+applied to the stream's uniforms in one vectorized pass, so it consumes
+the same uniforms, skips a zero uniform as ``random_laplace`` does, and
+leaves the generator where ``Generator.laplace`` would.  numpy's SIMD
+``log`` replaces the scalar libm ``log`` that ``Generator.laplace`` calls
+per element, so an element may differ from ``Generator.laplace`` by up to
+2 ulp, and hosts whose numpy picks another ``log`` kernel (AVX-512 against
+AVX2) may differ from each other at the ulp level.  The bits of ``np.log``
+do not depend on an element's position, so a stream refills several
+rounds at once (``NOISE_BLOCK_ELEMENTS``) and every block is the one a
+per-round pass gives.
 """
 
 from __future__ import annotations
@@ -26,6 +38,9 @@ import numpy as np
 
 TAG_ZETA = 0  # noise added to the gradient tracker y before sending
 TAG_XI = 1  # noise added to the aggregate tracker psi before sending
+# Bound on the elements of one refill of a noise stream, K * m * d: K rounds
+# of uniforms are transformed per pass (see `LaplaceStream`).
+NOISE_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,18 +75,64 @@ class ScheduleSet:
 # ---------------------------------------------------------------------------
 
 
-def noise_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The zeta and xi generators of one run, indexed by tag: Philox keyed
+def standard_laplace(rng, size: int) -> np.ndarray:
+    """``size`` unit-scale Laplace draws from ``rng``'s next uniforms:
+    copysign(log(min(u + u, (2 - u) - u)), u - 1/2), numpy's
+    ``random_laplace`` expression.  A zero uniform is skipped and the next
+    one taken, as there."""
+    u = rng.random(size)
+    if u.min() == 0.0:  # log(0) would give -inf; probability 2^-53 per draw
+        u = u[u != 0.0]
+        while u.size < size:
+            more = rng.random(size - u.size)
+            u = np.concatenate([u, more[more != 0.0]])
+    out = u + u
+    np.minimum(out, (2.0 - u) - u, out=out)
+    np.log(out, out=out)
+    return np.copysign(out, u - 0.5, out=out)
+
+
+class LaplaceStream:
+    """The unit-scale Laplace blocks of one run and tag, drawn from ``rng``.
+
+    The stream is bound to the (m, d) shape of its first block and refuses
+    another.  It then refills ``rounds`` = K blocks per pass, as many as keep
+    K * m * d within NOISE_BLOCK_ELEMENTS and at least one; the blocks are
+    the same for every K."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.rounds = 0
+        self.shape: tuple[int, int] | None = None
+        self._blocks = np.empty((0, 0, 0))
+        self._next = 0
+
+    def next_block(self, m: int, dim: int) -> np.ndarray:
+        if self.shape is None:
+            self.shape = (m, dim)
+            self.rounds = max(1, NOISE_BLOCK_ELEMENTS // (m * dim))
+        elif self.shape != (m, dim):
+            raise ValueError(f"noise stream is bound to shape {self.shape}, got {(m, dim)}")
+        if self._next == len(self._blocks):
+            self._blocks = standard_laplace(self.rng, self.rounds * m * dim).reshape(self.rounds, m, dim)
+            self._next = 0
+        self._next += 1
+        return self._blocks[self._next - 1]
+
+
+def noise_streams(seed: int) -> tuple[LaplaceStream, LaplaceStream]:
+    """The zeta and xi streams of one run, indexed by tag: Philox keyed
     seed<<64 | tag.  Philox rejects keys outside [0, 2^128), so a seed
     outside [0, 2^64) raises instead of aliasing another seed's streams."""
-    return tuple(np.random.Generator(np.random.Philox(key=(seed << 64) | tag)) for tag in (TAG_ZETA, TAG_XI))
+    return tuple(LaplaceStream(np.random.Generator(np.random.Philox(key=(seed << 64) | tag)))
+                 for tag in (TAG_ZETA, TAG_XI))
 
 
-def noise_vector(rng: np.random.Generator, sigma: float, m: int, dim: int) -> np.ndarray:
-    """The next broadcast noise block of all m senders from ``rng``, stacked
-    (m, dim): row j is sender j's vector.  ``sigma`` is the std-dev sigma_t;
-    the per-element scale is sigma/sqrt(2)."""
-    return rng.laplace(scale=sigma / math.sqrt(2.0), size=(m, dim))
+def noise_vector(stream: LaplaceStream, sigma: float, m: int, dim: int) -> np.ndarray:
+    """The next broadcast noise block of all m senders from ``stream``,
+    stacked (m, dim): row j is sender j's vector.  ``sigma`` is the std-dev
+    sigma_t; the per-element scale is sigma/sqrt(2)."""
+    return stream.next_block(m, dim) * (sigma / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from test_network import neighbour_loop
 from test_problems import legacy_project_box_budget_batch
 
-from dagopt import engine
+from dagopt import engine, schedules
 from dagopt.harness.config import build_schedules, default_config
 from dagopt.harness.experiments import _records_csv
 from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology, generate_k_regular
@@ -208,6 +208,17 @@ class TestNoiseDraws:
     def test_noise_free_run_draws_nothing(self, monkeypatch):
         assert self.draws(monkeypatch, "alg1", noise=False) == []
 
+    @pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+    def test_records_do_not_depend_on_rounds_per_refill(self, monkeypatch, stepper):
+        # the default refill at m=6, d=13 holds 52 rounds, more than the run
+        texts = []
+        for elements in (1, 2 * 6 * 13, 7 * 6 * 13, schedules.NOISE_BLOCK_ELEMENTS):
+            monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", elements)
+            _, _, _, st = small_setup(seed=5)
+            texts.append(_records_csv(engine.run(st, T=40, stride=3, stepper=stepper).records))
+            assert st.streams[TAG_ZETA].rounds == max(1, elements // (6 * 13))
+        assert all(text == texts[0] for text in texts[1:])
+
     def test_both_steppers_receive_the_same_blocks(self, monkeypatch):
         alg1, base = (self.draws(monkeypatch, stepper) for stepper in ("alg1", "baseline"))
         for tag in (TAG_ZETA, TAG_XI):
@@ -241,7 +252,8 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
     """The rounds of ``engine.step`` / ``step_baseline`` written out with the
     per-row-loop projection, mixing one neighbour at a time in ascending
     index order and, per tag, a Philox generator keyed seed<<64 | tag built
-    here and drawn once per round; yields (x, y, psi) per round."""
+    here whose uniforms are turned into Laplace noise by the inverse CDF one
+    round at a time; yields (x, y, psi) per round."""
     spec = prob.meta["spec"]
 
     def project(points):
@@ -251,7 +263,9 @@ def reference_rounds(prob, W, sch, seed, T, stepper):
 
     def noise(tag, t):
         profile = sch.zeta if tag == TAG_ZETA else sch.xi
-        return rngs[tag].laplace(scale=profile.value(t) / math.sqrt(2.0), size=(prob.m, prob.d))
+        u = rngs[tag].random((prob.m, prob.d))
+        unit = np.copysign(np.log(np.minimum(u + u, (2.0 - u) - u)), u - 0.5)
+        return unit * (profile.value(t) / math.sqrt(2.0))
 
     x = project(np.zeros((prob.m, prob.n)))
     psi = prob.eval_g_all(x)

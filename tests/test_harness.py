@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dagopt.errors import ConfigError, DagoptError
 from dagopt.harness import cli, config
 from dagopt.harness.config import (
     apply_preset,
+    build_instance,
     build_network,
     build_problem,
     build_schedules,
@@ -22,6 +24,7 @@ from dagopt.harness.config import (
 )
 from dagopt.harness.experiments import (
     AdjacentScenario,
+    _records_job,
     emit_outputs,
     fit_loglog_slope,
     input_data_hash,
@@ -31,6 +34,7 @@ from dagopt.harness.experiments import (
     run_truthfulness_experiment,
 )
 from dagopt.harness.svgplot import Series, line_plot
+from dagopt.problems import oracle as oracle_module
 from dagopt.problems.ev import desk_ev_spec
 
 
@@ -222,7 +226,7 @@ class TestSeedChunks:
         problem = "ev_problem" if cfg.problem == "ev" else "synthetic_problem"
         assert sorted(calls) == sorted(["build_weight_matrix", problem])
 
-    @pytest.mark.parametrize("kind", ["robustness", "truthfulness"])
+    @pytest.mark.parametrize("kind", ["convergence", "robustness", "truthfulness"])
     def test_outputs_identical_across_worker_counts(self, tmp_path, kind):
         # 5 seeds over 2 workers gives uneven chunks (2 + 3)
         cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2, 3, 4))
@@ -239,6 +243,26 @@ class TestSeedChunks:
         assert len(outputs[1]) >= 2
         assert outputs[2] == outputs[1]
         assert outputs[5] == outputs[1]
+
+    def test_worker_results_leave_the_final_state_behind(self, monkeypatch):
+        # a chunk in another process pickles its results back; the final
+        # state (problem, W, streams, iterates) of an EV m=1000 run is ~840 KiB
+        captured = []
+        run = engine.run
+
+        def spy(*args, **kwargs):
+            captured.append(run(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(engine, "run", spy)
+        cfg = dataclasses.replace(default_config(), m=1000, T=20, seeds=(0,))
+        [(seed, [result])] = _records_job(cfg, [0], build_instance(cfg), ("alg1",), None)
+        assert seed == 0 and result.final_state is None
+        assert len(pickle.dumps(result)) < 16 * 1024
+        # engine.run's own result is not mutated: callers of engine.run read it
+        [own] = captured
+        assert own.final_state is not None and own.final_state.t == 20
+        assert own.records == result.records
 
 
 def legacy_truthfulness_job(cfg, seeds, scenario):
@@ -342,6 +366,39 @@ class TestEmission:
             emit_outputs(run_convergence_experiment(cfg), out)
         for name in ("metrics.csv", "curve.svg", "manifest.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["convergence", "robustness", "truthfulness"])
+    def test_manifest_records_versions_and_log_kernel(self, tmp_path, kind):
+        import scipy
+
+        found = []
+        for run in range(2):
+            out = tmp_path / str(run)
+            emit_outputs(_run_kind(dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), out)
+            found.append((out / "manifest.txt").read_text().splitlines())
+        assert found[0] == found[1]
+        keys = ("dagopt_version", "numpy_version", "scipy_version", "numpy_log_target")
+        lines = {key: [l for l in found[0] if l.startswith(f"{key} = ")] for key in keys}
+        assert all(len(v) == 1 for v in lines.values()), lines
+        assert lines["numpy_version"] == [f"numpy_version = {np.__version__}"]
+        assert lines["scipy_version"] == [f"scipy_version = {scipy.__version__}"]
+        assert lines["numpy_log_target"][0].split(" = ")[1]
+
+    @pytest.mark.parametrize("kind", ["convergence", "robustness"])
+    def test_manifest_records_the_oracle_stopping_state(self, tmp_path, kind):
+        emit_outputs(_run_kind(dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), tmp_path)
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        found = {key: [l.split(" = ")[1] for l in manifest if l.startswith(f"oracle_{key} = ")]
+                 for key in ("iterations", "pg_norm", "converged")}
+        assert found["converged"] == ["True"]
+        assert int(found["iterations"][0]) >= 1
+        assert float(found["pg_norm"][0]) < oracle_module.TOL
+
+    def test_nonconvex_manifest_has_no_oracle_lines(self, tmp_path):
+        cfg = parse_config("[experiment]\nkind = convergence\nT = 20\nseeds = 0\n"
+                           "[problem]\nproblem = nonconvex\nm = 6\nn = 4\nd = 4\n")
+        emit_outputs(run_convergence_experiment(cfg), tmp_path)
+        assert "oracle_" not in (tmp_path / "manifest.txt").read_text()
 
     def test_manifest_records_input_data_hash(self, tmp_path):
         cfg = dataclasses.replace(parse_config(_SMALL["truthfulness"]), seeds=(0, 1))
@@ -556,6 +613,21 @@ class TestCli:
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+
+    @pytest.mark.parametrize("kind", ["convergence", "robustness"])
+    def test_unconverged_oracle_warns_once(self, tmp_path, monkeypatch, capsys, kind):
+        cfg_path = tmp_path / "exp.ini"
+        header = f"[experiment]\nseeds = 0\noutput_dir = {tmp_path / 'out'}\n"
+        cfg_path.write_text(_SMALL[kind].replace("[experiment]\n", header, 1))
+        assert cli.main(["run", str(cfg_path)]) in (0, 3)
+        assert "warning:" not in capsys.readouterr().err
+        monkeypatch.setattr(oracle_module, "MAX_ITERS", 2)
+        assert cli.main(["run", str(cfg_path)]) in (0, 2, 3)
+        err = capsys.readouterr().err.splitlines()
+        assert len([l for l in err if l.startswith("warning:")]) == 1, err
+        assert "2 iterations" in err[0]
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "oracle_converged = False" in manifest and "oracle_iterations = 2" in manifest
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -7,15 +7,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagopt import schedules
 from dagopt.schedules import (
+    NOISE_BLOCK_ELEMENTS,
     TAG_XI,
     TAG_ZETA,
     BallRadiusTracker,
     DecayProfile,
+    LaplaceStream,
     ball_radius,
     noise_streams,
     noise_vector,
+    standard_laplace,
 )
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def same_state(a, b):
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def scalar_laplace(rng, size, scale):
+    """The inverse-CDF formula one uniform at a time with the scalar libm
+    ``math.log``, skipping a zero uniform."""
+    out = []
+    while len(out) < size:
+        u = rng.random()
+        if u != 0.0:
+            out.append(math.copysign(math.log(min(u + u, (2.0 - u) - u)), u - 0.5) * scale)
+    return np.array(out)
+
+
+class ScriptedUniforms:
+    """A generator stand-in whose ``random`` hands out a fixed sequence."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        taken, self.values = self.values[:size], self.values[size:]
+        return np.array(taken)
 
 
 class TestDecayProfile:
@@ -118,6 +154,62 @@ class TestNoiseStreams:
         a = noise_vector(noise_streams(4)[TAG_ZETA], 1.0, 3, 6)
         b = noise_vector(noise_streams(4)[TAG_ZETA], 3.0, 3, 6)
         assert np.allclose(b, 3.0 * a, rtol=1e-12)
+
+
+class TestLaplaceKernel:
+    SCALE = 0.7 / math.sqrt(2.0)
+
+    def test_within_two_ulp_of_generator_laplace_and_same_state(self):
+        a, b = philox(5), philox(5)
+        got = standard_laplace(a, 200_000) * self.SCALE
+        want = b.laplace(scale=self.SCALE, size=200_000)
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 2
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert same_state(a, b)
+
+    def test_scalar_formula_is_generator_laplace_bit_for_bit(self):
+        a, b = philox(9), philox(9)
+        assert np.array_equal(scalar_laplace(a, 20_000, self.SCALE), b.laplace(scale=self.SCALE, size=20_000))
+        assert same_state(a, b)
+
+    @pytest.mark.parametrize("m, dim", [(10, 13), (3, 4), (1000, 13)])
+    def test_blocks_do_not_depend_on_rounds_per_refill(self, monkeypatch, m, dim):
+        # a stream fixes K at its first block; the later blocks come round by round
+        streams, firsts = [], []
+        for K in (1, 2, 7, 31):
+            monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", K * m * dim)
+            streams.append(LaplaceStream(philox((7 << 64) | TAG_ZETA)))
+            firsts.append(streams[-1].next_block(m, dim))
+            assert streams[-1].rounds == K
+        assert all(np.array_equal(firsts[0], other) for other in firsts[1:])
+        for _ in range(40):
+            blocks = [stream.next_block(m, dim) for stream in streams]
+            assert all(np.array_equal(blocks[0], other) for other in blocks[1:])
+
+    def test_default_refill_within_the_element_bound(self):
+        for m, dim, K in ((10, 13, 31), (20, 13, 15), (1000, 13, 1), (1, 1, NOISE_BLOCK_ELEMENTS)):
+            stream = noise_streams(0)[TAG_XI]
+            stream.next_block(m, dim)
+            assert stream.rounds == K and K * m * dim <= max(NOISE_BLOCK_ELEMENTS, m * dim)
+
+    def test_zero_uniform_skipped(self, monkeypatch):
+        uniforms = [0.25, 0.0, 0.75, 0.5, 0.0, 0.0, 0.1, 0.9, 0.3]
+        draws = standard_laplace(ScriptedUniforms(uniforms), 4)
+        assert np.all(np.isfinite(draws))
+        assert np.array_equal(draws, scalar_laplace(ScriptedUniforms(uniforms), 4, 1.0))
+        # two rounds of (1, 2) per refill: the zeros fall inside one refill
+        monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", 4)
+        stream = LaplaceStream(ScriptedUniforms(uniforms))
+        blocks = [stream.next_block(1, 2), stream.next_block(1, 2)]
+        assert np.array_equal(np.concatenate(blocks).ravel(), scalar_laplace(ScriptedUniforms(uniforms), 4, 1.0))
+
+    def test_shape_change_refused(self):
+        stream = noise_streams(1)[TAG_ZETA]
+        noise_vector(stream, 1.0, 5, 13)
+        with pytest.raises(ValueError, match="bound to shape"):
+            noise_vector(stream, 1.0, 13, 5)
+        assert noise_vector(stream, 1.0, 5, 13).shape == (5, 13)
 
 
 class TestBallRadius:
