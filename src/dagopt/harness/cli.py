@@ -54,6 +54,11 @@ def _warn_unconverged_oracle(oracle) -> None:
               file=sys.stderr)
 
 
+def _note_eta(eta_rep: privacy.EtaReport) -> None:
+    if eta_rep.linearization_exceeded:
+        print("note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified")
+
+
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
     if cfg.kind == "convergence":
@@ -83,6 +88,7 @@ def _cmd_run(args) -> int:
         emit_outputs(summary, cfg.output_dir)
         print(f"truthfulness: median gain (noise-injected) = {summary.median_gain_alg1:.6g}, "
               f"median gain (conventional) = {summary.median_gain_naive:.6g}, eta = {summary.eta:.6g}")
+        _note_eta(summary.eta_report)
         return EXIT_FAIL if summary.bound_violations else EXIT_OK
     print(f"config kind {cfg.kind!r} is not runnable via `run`; use the dedicated subcommand",
           file=sys.stderr)
@@ -135,8 +141,7 @@ def _cmd_privacy_report(args) -> int:
           f"(aggregate-tracker {report.eps_psi:.6g} + gradient-tracker {report.eps_y:.6g})")
     print(f"eta = {eta_rep.eta:.6g} (intrinsic {eta_rep.intrinsic:.6g} "
           f"+ privacy {eta_rep.privacy_term:.6g})")
-    if eta_rep.linearization_exceeded:
-        print("note: epsilon outside (0,1); the 2*epsilon linearization in eta is not tight")
+    _note_eta(eta_rep)
     rows += [
         ("epsilon", "total", report.epsilon, "", ""),
         ("epsilon", "aggregate-tracker", report.eps_psi, "", ""),

@@ -324,11 +324,15 @@ class TruthfulnessSummary:
     cfg: ExperimentConfig
     scenario: AdjacentScenario
     rows: list[tuple[int, float, float, float, float]]  # seed, gain_alg1, gain_naive, eta, inflation
-    eta: float
+    eta_report: privacy.EtaReport
     epsilon: float
     median_gain_alg1: float
     median_gain_naive: float
     bound_violations: tuple[int, ...]  # seeds where gain_alg1 > eta
+
+    @property
+    def eta(self) -> float:
+        return self.eta_report.eta
 
 
 def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenario) -> TruthfulnessSummary:
@@ -352,7 +356,7 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
         cfg=cfg,
         scenario=scenario,
         rows=rows,
-        eta=eta_rep.eta,
+        eta_report=eta_rep,
         epsilon=report.epsilon,
         median_gain_alg1=float(np.median([r[1] for r in rows])),
         median_gain_naive=float(np.median([r[2] for r in rows])),
@@ -491,6 +495,9 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
         emit("manifest.txt", _manifest(summary.cfg, [
             f"epsilon = {summary.epsilon!r}",
             f"eta = {summary.eta!r}",
+            f"eta_intrinsic = {summary.eta_report.intrinsic!r}",
+            f"eta_privacy_term = {summary.eta_report.privacy_term!r}",
+            f"eta_linearization_valid = {not summary.eta_report.linearization_exceeded}",
             f"median_gain_alg1 = {summary.median_gain_alg1!r}",
             f"median_gain_naive = {summary.median_gain_naive!r}",
             f"perturbed_agents = {list(summary.scenario.agents)}",

@@ -504,7 +504,7 @@ class TestCli:
         assert "violation: smallest eigenvalue -1.2 <= -1" in out
         assert out[-1] == "FAIL"
 
-    def test_privacy_report_subcommand(self, tmp_path):
+    def test_privacy_report_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(
             "[experiment]\nkind = privacy-report\nT = 100\n"
@@ -512,6 +512,26 @@ class TestCli:
             "[schedules]\npreset = sec5-truthful\n"
         )
         assert cli.main(["privacy-report", str(cfg_path)]) == 0
+        # epsilon(100) > 1 at sec5-truthful
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note: ")]
+        assert notes == ["note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified"]
+
+    def test_truthfulness_run_flags_eta_as_not_certified_when_epsilon_exceeds_one(self, tmp_path, capsys):
+        # at sec5-truthful, epsilon(250) > 1, so eta's 2*epsilon term is no
+        # longer a valid linearization of e^epsilon
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text("[experiment]\nkind = truthfulness\nseeds = 0\n"
+                            f"output_dir = {tmp_path / 'out'}\n"
+                            "[schedules]\npreset = sec5-truthful\n[truthfulness]\ntruthful_T = 250\n")
+        assert cli.main(["run", str(cfg_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if l.startswith("note: ")] == [
+            "note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified"]
+        manifest = dict(l.split(" = ", 1) for l in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+                        if " = " in l and not l.startswith(("[", "#")))
+        assert float(manifest["epsilon"]) > 1.0
+        assert manifest["eta_linearization_valid"] == "False"
+        assert float(manifest["eta_intrinsic"]) + float(manifest["eta_privacy_term"]) == float(manifest["eta"])
 
     @pytest.mark.parametrize("command,kind", [("run", "convergence"), ("privacy-report", "privacy-report")])
     def test_output_dir_naming_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, command, kind):

@@ -14,7 +14,7 @@ from dagopt.harness.experiments import AdjacentScenario, perturb_spec
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
-from dagopt.problems.oracle import centralized_oracle
+from dagopt.problems.oracle import MAX_ITERS, TOL, OracleSolution, centralized_oracle
 from dagopt.problems.projections import BoxBudgetProjection
 from dagopt.problems.synthetic import synthetic_problem
 
@@ -524,6 +524,75 @@ class TestGradCheck:
             finite_diff_check(ev, x, psi)
 
 
+def legacy_centralized_oracle(problem):
+    """The oracle before its line search settled rounding-limited Armijo
+    trials by a gradient-difference test, kept as its bit-for-bit reference
+    wherever rounding does not decide a trial."""
+    x = problem.eval_project_all(np.zeros((problem.m, problem.n)))
+    fx = F_value(problem, x)
+    step = 1.0
+    pg = np.inf
+    it = 0
+    for it in range(1, MAX_ITERS + 1):
+        grad = F_grad(problem, x)
+        x_trial = problem.eval_project_all(x - step * grad)
+        diff = x - x_trial
+        pg = float(np.linalg.norm(diff)) / step
+        if pg < TOL:
+            break
+        accepted = False
+        for trial in range(60):
+            if trial:
+                x_trial = problem.eval_project_all(x - step * grad)
+            diff = x_trial - x
+            f_trial = F_value(problem, x_trial)
+            if f_trial <= fx + float((grad * diff).sum()) + 0.5 / step * float((diff * diff).sum()) + 1e-15:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        x, fx = x_trial, f_trial
+        step = min(step * 1.25, 1e6)
+    return OracleSolution(x_star=x, F_star=fx, iterations=it, pg_norm=pg, converged=pg < TOL)
+
+
+def solve_counting_projections(solver, problem):
+    """(solution, number of projections the solve made)."""
+    calls = []
+    project = problem.project_all
+    problem = dataclasses.replace(problem, project_all=lambda x: calls.append(None) or project(x))
+    return solver(problem), len(calls)
+
+
+def ev_kkt_residual(x, spec):
+    """Largest violation of the EV optimum's KKT conditions, relative to the
+    largest marginal price.  Every agent sees the marginal price
+    p(phi) + p'(phi) phi = c (1 + e) phi^e per slot, and needs one
+    multiplier mu_i with price = mu_i on its free slots, >= mu_i on slots at
+    0 and <= mu_i on slots at x_max: the violation is how far the largest
+    price it must stay below exceeds the smallest it must stay above."""
+    phi = (x + spec.d).sum(axis=0) / spec.C_tot
+    price = spec.price_coeff * (1.0 + spec.price_exp) * phi**spec.price_exp
+    below = np.where(x > 0.0, price, -np.inf).max(axis=1)  # mu_i >= these
+    above = np.where(x < spec.x_max, price, np.inf).min(axis=1)  # mu_i <= these
+    return float(np.maximum(below - above, 0.0).max()) / float(price.max())
+
+
+def box_kkt_residual(problem, x):
+    """Largest KKT violation of a point of the box [-1, 1]^(m n), in the
+    units of grad F: |grad| on free coordinates, the wrong-signed part at a
+    bound."""
+    g = F_grad(problem, x)
+    free = np.abs(x) < 1.0
+    return float(np.where(free, np.abs(g), np.maximum(np.sign(x) * g, 0.0)).max())
+
+
+def same_solution(a, b):
+    return (a.x_star.tobytes() == b.x_star.tobytes() and a.F_star == b.F_star and a.iterations == b.iterations
+            and a.pg_norm == b.pg_norm and a.converged == b.converged)
+
+
 class TestOracle:
     def test_stationarity_at_solution(self):
         prob = synthetic_problem("strongly-convex", 10, 4, 3, seed=0)
@@ -540,3 +609,34 @@ class TestOracle:
         for _ in range(10):
             x = desk_problem.eval_project_all(rng.uniform(0, 8, (20, 13)))
             assert F_value(desk_problem, x) >= sol.F_star - 1e-9
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_ev_converges_without_rounding_the_step_away(self, m):
+        # without the gradient-difference test, rounding in F rejects good
+        # trials here until P(x - s grad) rounds back to x and pg_norm reads
+        # 0.0 (77 projections for 40 iterations at m = 20)
+        problem = ev_problem(desk_ev_spec(m))
+        sol, projections = solve_counting_projections(centralized_oracle, problem)
+        assert sol.converged and 0.0 < sol.pg_norm < TOL
+        assert ev_kkt_residual(sol.x_star, problem.meta["spec"]) <= 1e-9
+        assert projections <= 1.5 * sol.iterations + 1, (projections, sol.iterations)
+
+    def test_convex_synthetic_converges_without_rounding_the_step_away(self):
+        problem = synthetic_problem("convex", 50, 4, 4, seed=0)
+        sol, projections = solve_counting_projections(centralized_oracle, problem)
+        assert sol.converged and 0.0 < sol.pg_norm < TOL
+        # a linear f has no price scale: the stopping rule bounds the
+        # residual in grad F's own units
+        assert box_kkt_residual(problem, sol.x_star) < TOL
+        assert projections <= 1.5 * sol.iterations + 1, (projections, sol.iterations)
+
+    @pytest.mark.parametrize("m", [4, 6, 10, 20, 30, 50])
+    def test_bit_identical_to_legacy_where_rounding_decides_no_trial(self, m):
+        for seed in range(6):
+            problem = synthetic_problem("strongly-convex", m, 4, 3, seed=seed)
+            assert same_solution(centralized_oracle(problem), legacy_centralized_oracle(problem)), (m, seed)
+
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_small_ev_bit_identical_to_legacy(self, m):
+        problem = ev_problem(desk_ev_spec(m))
+        assert same_solution(centralized_oracle(problem), legacy_centralized_oracle(problem))
