@@ -1,43 +1,10 @@
 """Experiment orchestration and CLI front-end."""
 
-from .config import (
-    PRESETS,
-    ExperimentConfig,
-    build_network,
-    build_problem,
-    build_schedules,
-    config_to_text,
-    default_config,
-    manifest_hash,
-    parse_config,
-)
+from .config import parse_config
 from .experiments import (
     AdjacentScenario,
-    ConvergenceSummary,
-    RobustnessSummary,
-    TruthfulnessSummary,
     emit_outputs,
     run_convergence_experiment,
     run_robustness_experiment,
     run_truthfulness_experiment,
 )
-
-__all__ = [
-    "PRESETS",
-    "ExperimentConfig",
-    "build_network",
-    "build_problem",
-    "build_schedules",
-    "config_to_text",
-    "default_config",
-    "manifest_hash",
-    "parse_config",
-    "AdjacentScenario",
-    "ConvergenceSummary",
-    "RobustnessSummary",
-    "TruthfulnessSummary",
-    "emit_outputs",
-    "run_convergence_experiment",
-    "run_robustness_experiment",
-    "run_truthfulness_experiment",
-]

@@ -105,8 +105,9 @@ def _cmd_validate_graph(args) -> int:
         W = uniform_weights(topo, args.edge_weight)
     except ValueError as exc:  # a weight outside (0, inf)
         raise ConfigError(str(exc)) from None
-    print(f"agents: {topo.m}, edges: {len(topo.edges)}, connected: {topo.is_connected()}")
-    if not topo.is_connected():
+    connected = topo.is_connected()
+    print(f"agents: {topo.m}, edges: {len(topo.edges)}, connected: {connected}")
+    if not connected:
         print("FAIL: graph is disconnected")
         return EXIT_FAIL
     cert = validate_assumption2(W)

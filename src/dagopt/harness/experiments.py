@@ -491,13 +491,15 @@ def emit_outputs(summary, out_dir: str) -> list[str]:
         ]
         emit("manifest.txt", _manifest(summary.cfg, [*verdict_lines, *_oracle_lines(summary.oracle)]))
     elif isinstance(summary, TruthfulnessSummary):
-        emit("gains.csv", csv_text(("seed", "gain_alg1", "gain_naive", "eta", "global_inflation"), summary.rows))
+        valid = not summary.eta_report.linearization_exceeded
+        header = ("seed", "gain_alg1", "gain_naive", "eta", "global_inflation", "eta_linearization_valid")
+        emit("gains.csv", csv_text(header, [(*row, valid) for row in summary.rows]))
         emit("manifest.txt", _manifest(summary.cfg, [
             f"epsilon = {summary.epsilon!r}",
             f"eta = {summary.eta!r}",
             f"eta_intrinsic = {summary.eta_report.intrinsic!r}",
             f"eta_privacy_term = {summary.eta_report.privacy_term!r}",
-            f"eta_linearization_valid = {not summary.eta_report.linearization_exceeded}",
+            f"eta_linearization_valid = {valid}",
             f"median_gain_alg1 = {summary.median_gain_alg1!r}",
             f"median_gain_naive = {summary.median_gain_naive!r}",
             f"perturbed_agents = {list(summary.scenario.agents)}",

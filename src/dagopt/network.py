@@ -109,8 +109,8 @@ class WeightMatrix:
     neighbours is padded with itself at weight 0.  ``diag`` and
     ``one_plus_diag`` are the (m, 1) columns of w_ii and 1 + w_ii, and
     ``w_hat`` is min_i |w_ii| (0 for a single agent).  ``from_edges`` builds
-    W = -weight * L from an edge list; ``from_dense`` takes any square array
-    and ``matrix`` makes the dense W, both for checks off the run path."""
+    W = -weight * L from an edge list, and ``matrix`` makes the dense W for
+    checks off the run path."""
 
     def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, diag: np.ndarray):
         # (rows, cols, vals): the off-diagonal nonzeros in row-major order
@@ -125,14 +125,6 @@ class WeightMatrix:
         for name, value in (("diag", diag), ("one_plus_diag", 1.0 + diag), ("_nbr", nbr), ("_wgt", wgt)):
             value.flags.writeable = False
             setattr(self, name, value)
-
-    @classmethod
-    def from_dense(cls, A) -> WeightMatrix:
-        """From the off-diagonal nonzeros and the diagonal of a square array."""
-        A = np.asarray(A, dtype=float)
-        m = A.shape[0]
-        rows, cols = np.divmod(np.flatnonzero((A != 0) & ~np.eye(m, dtype=bool)), m)  # columns ascend
-        return cls(m, rows, cols, A[rows, cols], np.diag(A))
 
     @classmethod
     def from_edges(cls, m: int, edge_index: np.ndarray, weight: float) -> WeightMatrix:
@@ -295,13 +287,6 @@ def validate_assumption2(W: np.ndarray | WeightMatrix) -> Certificate:
 # ---------------------------------------------------------------------------
 # I/O
 # ---------------------------------------------------------------------------
-
-
-def save_edgelist(topology: Topology, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# m {topology.m}\n")
-        for i, j in topology.edges:
-            fh.write(f"{i} {j}\n")
 
 
 def load_edgelist(path) -> Topology:

@@ -180,32 +180,10 @@ def sensitivity_psi(t: int, schedules: ScheduleSet, w_hat: float) -> float:
     return c1 * schedules.lam.value(t) / (schedules.gamma1.value(t) * schedules.gamma2.value(t))
 
 
-def sensitivity_psi_recursion(T: int, schedules: ScheduleSet, w_hat: float) -> np.ndarray:
-    """Numeric iteration of the sensitivity recursion
-
-        Delta_{t+1} <= (1 - gamma_{t,2} w_hat) Delta_t + lambda_t / gamma_{t,1}
-
-    from Delta_0 = 0 (forcing constant 1), for cross-checking the closed form."""
-    out = np.zeros(T + 1)
-    for t in range(T):
-        a_t = schedules.gamma2.value(t) * w_hat
-        b_t = schedules.lam.value(t) / schedules.gamma1.value(t)
-        out[t + 1] = (1.0 - a_t) * out[t] + b_t
-    return out
-
-
 def sensitivity_y(t: int, schedules: ScheduleSet, w_hat: float) -> float:
     """Closed-form bound c2 gamma_{t,1} on the gradient-tracker sensitivity."""
     c2 = c2_constant(schedules, w_hat)
     return c2 * schedules.gamma1.value(t)
-
-
-def sensitivity_y_recursion(T: int, schedules: ScheduleSet, w_hat: float) -> np.ndarray:
-    """Numeric iteration of Delta_{t+1} <= (1 - w_hat) Delta_t + gamma_{t,1} (forcing constant 1)."""
-    out = np.zeros(T + 1)
-    for t in range(T):
-        out[t + 1] = (1.0 - w_hat) * out[t] + schedules.gamma1.value(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +306,12 @@ def check_lemma2_case_i(a0, b0, a, b, phi0, T) -> Lemma2Draw:
 def check_lemma2_case_ii(a0, b0, a, b, phi0, T) -> Lemma2Draw:
     """Bound: Phi_t <= Phi0 exp(-a0 (1-(t+1)^{-(a-1)})/(a-1)) + b0 b/(b-1).
 
-    Hypotheses: a > 1, b > 1, b0 > 0, 1 >= a0 > 0.  This is the repaired
-    form of the summable-coefficient case: the decay factor carries the a0
-    scaling and the forcing sum is bounded by its integral estimate
-    sum b_t <= b0 * b/(b-1) (see the decisions ledger)."""
+    Hypotheses: a > 1, b > 1, b0 > 0, 1 >= a0 > 0.  Why this form: as
+    a0 <= 1, each factor 1 - a_p lies in [0, 1) and is at most exp(-a_p),
+    and sum_{p<t} a_p >= a0 int_1^{t+1} s^{-a} ds gives the decay factor;
+    the damped forcing terms add up to at most sum_{k>=1} b0 k^{-b}
+    <= b0 (1 + 1/(b-1)) = b0 b/(b-1).  Without the a0 in the exponent, or
+    with the integral b0/(b-1) alone, random draws violate the bound."""
     t_arr, a_t, b_t, phi = _iterate_phi(a0, b0, a, b, phi0, T)
     decay = np.exp(-a0 * (1.0 - t_arr ** (-(a - 1.0))) / (a - 1.0))
     bound = phi0 * decay + b0 * b / (b - 1.0)

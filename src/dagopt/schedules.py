@@ -140,22 +140,9 @@ def noise_vector(stream: LaplaceStream, sigma: float, m: int, dim: int) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def ball_radius(gamma1: DecayProfile, L_f2: float, t: int) -> float:
-    """Radius (1 + sum_{p=0}^{t-1} gamma_{p,1}) * L_f2 of the projection ball.
-
-    Recomputed from scratch; the run loop keeps the partial sum incrementally
-    (see BallRadiusTracker)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not (L_f2 > 0):
-        raise ValueError("L_f2 must be > 0")
-    partial = math.fsum(gamma1.value(p) for p in range(t))
-    return (1.0 + partial) * L_f2
-
-
 @dataclass
 class BallRadiusTracker:
-    """O(1)-per-iteration radius bookkeeping for the run loop.
+    """Projection-ball radius (1 + sum_{p<t} gamma_{p,1}) * L_f2, O(1) per iteration.
 
     ``radius()`` returns the radius for the *current* iteration t, i.e. with
     the partial sum over p < t; call ``advance()`` once per completed step."""

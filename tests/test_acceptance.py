@@ -20,16 +20,12 @@ import pytest
 from dagopt import engine, privacy
 from dagopt.harness import (
     AdjacentScenario,
-    build_network,
-    build_problem,
-    build_schedules,
-    default_config,
     emit_outputs,
     run_convergence_experiment,
     run_robustness_experiment,
     run_truthfulness_experiment,
 )
-from dagopt.harness.config import apply_preset
+from dagopt.harness.config import apply_preset, build_network, build_problem, build_schedules, default_config
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
 from dagopt.problems.synthetic import synthetic_problem
 from dagopt.problems.ev import desk_ev_spec, ev_problem

@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The names the benchmark reads must exist in the package.
 
 ``dagbench/tracer.py`` wraps 16 attributes of the dagopt modules by name;
 renaming one breaks ``dagbench/run.py --trace 1``.  These tests load the
 tracer from its file, without changing it, install it on the imported
-package and check that every attribute was replaced and is restored."""
+package and check that every attribute was replaced and is restored.  The
+last three check the names ``dagbench/run.py`` and ``dagbench/workloads.py``
+read without the tracer."""
 
 import importlib.util
 import pathlib
@@ -65,3 +67,45 @@ def test_install_patches_every_hook_and_uninstall_restores_it():
         tracer.uninstall()
     for (owner, attr), before in zip(HOOKS, originals):
         assert getattr(owner, attr) is before, f"{owner.__name__}.{attr} was not restored"
+
+
+# The benchmark also reads names outside the tracer: ``dagbench/run.py``
+# reports the version and drives the harness entry points, and
+# ``dagbench/workloads.py`` reads each ``engine.run`` call's ``oracle``
+# keyword and checks the final iterates against the problem data in ``meta``.
+
+HARNESS_ENTRY_POINTS = ("parse_config", "run_convergence_experiment", "run_truthfulness_experiment",
+                        "AdjacentScenario", "emit_outputs")
+
+
+def test_package_exposes_what_the_benchmark_runner_reads():
+    assert isinstance(dagopt.__version__, str) and dagopt.__version__
+    for name in HARNESS_ENTRY_POINTS:
+        assert callable(getattr(dagopt.harness, name, None)), f"dagopt.harness.{name} is missing"
+    # the tracer reaches these two modules as attributes of the package
+    assert dagopt.harness.config is config and dagopt.harness.experiments is experiments
+
+
+def test_convergence_experiment_passes_the_oracle_by_keyword(monkeypatch):
+    calls = []
+    run = dagopt.engine.run
+
+    def spy(state, T, *args, **kwargs):
+        calls.append(kwargs)
+        return run(state, T, *args, **kwargs)
+
+    monkeypatch.setattr(dagopt.engine, "run", spy)
+    cfg = dagopt.harness.parse_config("[experiment]\nkind = convergence\nT = 3\nseeds = 0\n"
+                                      "[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n"
+                                      "[topology]\ntopology = complete\nedge_weight = 0.2\n")
+    dagopt.harness.run_convergence_experiment(cfg)
+    assert calls and all(kwargs.get("oracle") is not None for kwargs in calls)
+    assert all(hasattr(kwargs["oracle"], "x_star") for kwargs in calls)
+
+
+def test_problem_meta_holds_the_data_the_benchmark_checks():
+    spec = dagopt.problems.ev_problem(dagopt.problems.desk_ev_spec(5)).meta["spec"]
+    for attr in ("x_max", "E", "d", "C_tot", "price_coeff", "price_exp"):
+        assert hasattr(spec, attr), f"EV spec has no {attr}"
+    meta = dagopt.problems.synthetic_problem("strongly-convex", 4, 2, 2, 0).meta
+    assert {"a", "b", "A", "c"} <= meta.keys()

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from test_network import neighbour_loop
+from test_network import neighbour_loop, weight_matrix_from_dense
 from test_problems import legacy_project_box_budget_batch
 
 from dagopt import engine, schedules
 from dagopt.harness.config import build_schedules, default_config
 from dagopt.harness.experiments import _records_csv
-from dagopt.network import WeightMatrix, build_weight_matrix, complete_topology, generate_k_regular
+from dagopt.network import build_weight_matrix, complete_topology, generate_k_regular
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.oracle import centralized_oracle
@@ -52,7 +52,7 @@ class TestStep:
         # gamma1 * grad2_f, so the x update collapses to a projected
         # gradient step on the composite objective.
         prob = synthetic_problem("strongly-convex", 1, 4, 3, seed=0)
-        W = WeightMatrix.from_dense(np.zeros((1, 1)))
+        W = weight_matrix_from_dense(np.zeros((1, 1)))
         sch = build_schedules(default_config())
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
         for t in range(5):

@@ -7,6 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
+from test_network import save_edgelist
 
 from dagopt import engine
 from dagopt.errors import ConfigError, DagoptError
@@ -461,15 +462,28 @@ class TestCli:
         assert capsys.readouterr().out.startswith("3 draws over horizon 0: ")
 
     def test_validate_graph_subcommand(self, tmp_path):
-        from dagopt.network import generate_k_regular, save_edgelist
+        from dagopt.network import generate_k_regular
 
         path = tmp_path / "g.edges"
         save_edgelist(generate_k_regular(12, 4, seed=0), path)
         assert cli.main(["validate-graph", str(path), "--edge-weight", "0.12"]) == 0
 
+    def test_validate_graph_searches_a_disconnected_graph_once(self, tmp_path, capsys, monkeypatch):
+        from dagopt.network import Topology
+
+        searches = []
+        eccentricity = Topology.eccentricity
+        monkeypatch.setattr(Topology, "eccentricity", lambda self: searches.append(1) or eccentricity(self))
+        path = tmp_path / "two-pairs.edges"
+        save_edgelist(Topology(4, ((0, 1), (2, 3))), path)
+        assert cli.main(["validate-graph", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == ["agents: 4, edges: 2, connected: False",
+                                                        "FAIL: graph is disconnected"]
+        assert len(searches) == 1
+
     @pytest.mark.parametrize("weight", ["0", "nan", "inf", "-0.1"])
     def test_validate_graph_bad_edge_weight_exits_2_with_one_error_line(self, tmp_path, capsys, weight):
-        from dagopt.network import complete_topology, save_edgelist
+        from dagopt.network import complete_topology
 
         path = tmp_path / "k10.edges"
         save_edgelist(complete_topology(10), path)
@@ -495,7 +509,7 @@ class TestCli:
     def test_validate_graph_reports_a_matrix_outside_the_band(self, tmp_path, capsys):
         # K10 at 0.12 has delta_m = -1.2: the diagnostic prints its
         # certificate instead of refusing to build the matrix
-        from dagopt.network import complete_topology, save_edgelist
+        from dagopt.network import complete_topology
 
         path = tmp_path / "k10.edges"
         save_edgelist(complete_topology(10), path)
@@ -532,6 +546,9 @@ class TestCli:
         assert float(manifest["epsilon"]) > 1.0
         assert manifest["eta_linearization_valid"] == "False"
         assert float(manifest["eta_intrinsic"]) + float(manifest["eta_privacy_term"]) == float(manifest["eta"])
+        with open(tmp_path / "out" / "gains.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and [r["eta_linearization_valid"] for r in rows] == ["False"] * len(rows)
 
     @pytest.mark.parametrize("command,kind", [("run", "convergence"), ("privacy-report", "privacy-report")])
     def test_output_dir_naming_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, command, kind):

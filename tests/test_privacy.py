@@ -23,6 +23,28 @@ def truthful_schedules():
     return build_schedules(apply_preset(default_config(), "sec5-truthful"))
 
 
+def sensitivity_psi_recursion(T, schedules, w_hat):
+    """Numeric iteration of the sensitivity recursion
+
+        Delta_{t+1} <= (1 - gamma_{t,2} w_hat) Delta_t + lambda_t / gamma_{t,1}
+
+    from Delta_0 = 0 (forcing constant 1), for cross-checking the closed form."""
+    out = np.zeros(T + 1)
+    for t in range(T):
+        a_t = schedules.gamma2.value(t) * w_hat
+        b_t = schedules.lam.value(t) / schedules.gamma1.value(t)
+        out[t + 1] = (1.0 - a_t) * out[t] + b_t
+    return out
+
+
+def sensitivity_y_recursion(T, schedules, w_hat):
+    """Numeric iteration of Delta_{t+1} <= (1 - w_hat) Delta_t + gamma_{t,1} (forcing constant 1)."""
+    out = np.zeros(T + 1)
+    for t in range(T):
+        out[t + 1] = (1.0 - w_hat) * out[t] + schedules.gamma1.value(t)
+    return out
+
+
 class TestRegimes:
     def test_summable_stepsize_regime_passes(self):
         rc = privacy.check_regime(truthful_schedules(), "T2-truthful")
@@ -75,10 +97,10 @@ class TestConstants:
         # the closed-form per-iteration sensitivity must upper-bound the
         # numerically iterated recursion once the contraction has settled
         sch = truthful_schedules()
-        deltas = privacy.sensitivity_psi_recursion(2000, sch, 0.48)
+        deltas = sensitivity_psi_recursion(2000, sch, 0.48)
         for t in (100, 500, 1000, 1999):
             assert privacy.sensitivity_psi(t, sch, 0.48) >= deltas[t] * (1.0 - 1e-9)
-        deltas_y = privacy.sensitivity_y_recursion(2000, sch, 0.48)
+        deltas_y = sensitivity_y_recursion(2000, sch, 0.48)
         for t in (100, 500, 1000, 1999):
             assert privacy.sensitivity_y(t, sch, 0.48) >= deltas_y[t] * (1.0 - 1e-9)
 

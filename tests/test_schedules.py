@@ -15,11 +15,21 @@ from dagopt.schedules import (
     BallRadiusTracker,
     DecayProfile,
     LaplaceStream,
-    ball_radius,
     noise_streams,
     noise_vector,
     standard_laplace,
 )
+
+
+def ball_radius(gamma1, L_f2, t):
+    """Radius (1 + sum_{p=0}^{t-1} gamma_{p,1}) * L_f2 of the projection ball,
+    recomputed from scratch: the reference for ``BallRadiusTracker``."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if not (L_f2 > 0):
+        raise ValueError("L_f2 must be > 0")
+    partial = math.fsum(gamma1.value(p) for p in range(t))
+    return (1.0 + partial) * L_f2
 
 
 def philox(key):
