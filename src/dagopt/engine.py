@@ -12,14 +12,15 @@ One round at iteration t performs, with barriers between the three phases:
 
 Broadcast noise semantics: the sender draws one noise vector per iteration
 and every receiver sees the same obscured value.  A run owns one zeta stream
-and one xi stream, both keyed by its seed (``schedules.noise_streams``); each
-iteration takes the next block of each, holding every sender's vector (row j
-is sender j).  Both steppers draw each tag once per round, so runs of one
-seed see the same zeta_t and xi_t whichever stepper they use.  Every draw
-goes through ``noise_vector``, once per round and tag; the stream behind it
-refills several rounds' blocks at once by a vectorized inverse-CDF pass over
-its Philox uniforms (``schedules.LaplaceStream``), and a block does not
-depend on how many rounds a refill holds.
+and one xi stream, both keyed by its seed and built for its (m, d) shape by
+``init_run`` (``schedules.noise_streams``); each iteration takes the next
+block of each, holding every sender's vector (row j is sender j).  Both
+steppers draw each tag once per round, so runs of one seed see the same
+zeta_t and xi_t whichever stepper they use.  Every draw goes through
+``noise_vector``, once per round and tag; the stream behind it refills
+several rounds' blocks at once by a vectorized inverse-CDF pass over its
+Philox uniforms (``schedules.LaplaceStream``), and a block does not depend
+on how many rounds a refill holds.
 
 ``run`` evaluates F(x_t) and grad F(x_t), which the records and the
 lambda-weighted averages need, once per block of iterates rather than once
@@ -45,9 +46,10 @@ from .errors import DagoptError
 from .network import WeightMatrix
 from .problems.base import AggregativeProblem, F_grad, F_value, aggregate
 from .problems.oracle import OracleSolution
-from .schedules import TAG_XI, TAG_ZETA, BallRadiusTracker, LaplaceStream, ScheduleSet, noise_streams, noise_vector
+from .schedules import TAG_XI, TAG_ZETA, LaplaceStream, ScheduleSet, noise_streams, noise_vector
 
 DIVERGENCE_THRESHOLD = 1e12
+X0_POLICIES = ("project-zero", "random-feasible")
 # Bound on the elements of one stacked block of iterates, B * m * max(n, d),
 # that `run` evaluates F and grad F on in one call (see `metrics_block`).
 METRICS_BLOCK_ELEMENTS = 4096
@@ -64,7 +66,7 @@ class RunState:
     y: np.ndarray  # (m, d)
     psi: np.ndarray  # (m, d)
     g_cache: np.ndarray  # g(x_t), (m, d)
-    radius: BallRadiusTracker
+    gamma1_sum: float = 0.0  # sum_{p<t} gamma_{p,1}: line 4's ball radius is (1 + gamma1_sum) * L_f2
     grad2_cache: np.ndarray = None  # used by the baseline stepper only
     diverged_at: int | None = None
 
@@ -113,13 +115,12 @@ def init_run(
         problem=problem,
         W=W,
         schedules=schedules,
-        streams=noise_streams(seed) if noise_enabled else None,
+        streams=noise_streams(seed, m, problem.d) if noise_enabled else None,
         t=0,
         x=x0,
         y=y0,
         psi=psi0.copy(),
         g_cache=psi0.copy(),
-        radius=BallRadiusTracker(schedules.gamma1, problem.constants.L_f2),
         grad2_cache=y0.copy(),
     )
 
@@ -132,7 +133,7 @@ def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
     if state.streams is None:
         return np.zeros((prob.m, prob.d))
     profile = sched.zeta if tag == TAG_ZETA else sched.xi
-    return noise_vector(state.streams[tag], profile.value(t), prob.m, prob.d)
+    return noise_vector(state.streams[tag], profile.value(t))
 
 
 def _project_ball(points: np.ndarray, radius: float) -> np.ndarray:
@@ -153,7 +154,7 @@ def _line4(state: RunState) -> np.ndarray:
     """Compute y_{t+1} for the current iteration (no state mutation)."""
     t = state.t
     gamma1_t = state.schedules.gamma1.value(t)
-    radius = state.radius.radius()
+    radius = (1.0 + state.gamma1_sum) * state.problem.constants.L_f2
     zeta = _draw_noise(state, TAG_ZETA, t)
     shared = _project_ball(state.y + zeta, radius)
     grad2 = state.problem.eval_grad2_all(state.x, state.psi)
@@ -228,7 +229,7 @@ def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
     state.g_cache = g_new
     if grad2_new is not None:
         state.grad2_cache = grad2_new
-    state.radius.advance()
+    state.gamma1_sum += state.schedules.gamma1.value(state.t)
     state.t += 1
 
 

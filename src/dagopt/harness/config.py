@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
+from ..engine import X0_POLICIES
 from ..errors import ConfigError
 from ..network import (
     Topology,
@@ -39,6 +40,7 @@ PRESETS: dict[str, dict[str, float]] = {
     "sec5-truthful": dict(u=3.1, v=2.0, w1=1.2, w2=0.4, varsigma_zeta=0.19, varsigma_xi=0.2, gamma2=4.0),
 }
 
+# (base, exponent) pairs, each base followed by its exponent
 _SCHEDULE_FIELDS = (
     "lambda0",
     "u",
@@ -127,6 +129,14 @@ class ExperimentConfig:
                               f"got {self.problem_seed} and {self.topology_seed}")
         if not (0 < self.edge_weight < math.inf):
             raise ConfigError(f"edge_weight must be finite and > 0, got {self.edge_weight}")
+        for key in _SCHEDULE_FIELDS[0::2] + ("baseline_lambda",):
+            if not (0 < getattr(self, key) < math.inf):
+                raise ConfigError(f"{key} must be finite and > 0, got {getattr(self, key)}")
+        for exponent in _SCHEDULE_FIELDS[1::2]:
+            if not math.isfinite(getattr(self, exponent)):
+                raise ConfigError(f"{exponent} must be finite, got {getattr(self, exponent)}")
+        if self.x0_policy not in X0_POLICIES:
+            raise ConfigError(f"unknown x0_policy {self.x0_policy!r}; choose from {X0_POLICIES}")
         # inputs a run would ignore: the EV instance always has K_SLOTS hourly
         # slots, and the truthfulness experiment always runs the EV instance
         if self.problem == "ev" and (self.n, self.d) != (K_SLOTS, K_SLOTS):
@@ -226,7 +236,12 @@ def parse_config(text: str) -> ExperimentConfig:
             elif isinstance(current, tuple):
                 kwargs[k] = _parse_int_tuple(v)
             elif isinstance(current, int):
-                kwargs[k] = int(float(v)) if ("e" in v or "." in v) else int(v)
+                try:
+                    kwargs[k] = int(v)
+                except ValueError:  # an integral float literal such as 1e5; not 1.5, nor 1e400 (inf)
+                    if not float(v).is_integer():
+                        raise
+                    kwargs[k] = int(float(v))
             elif isinstance(current, float):
                 kwargs[k] = float(v)
             else:

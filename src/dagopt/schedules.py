@@ -1,11 +1,11 @@
-"""Decaying sequences, Laplace noise streams, and the expanding ball radius.
+"""Decaying sequences and Laplace noise streams.
 
 All tunable sequences are power laws  value(t) = base / (t+1)^exponent.
 The algorithm consumes five of them: the stepsize lambda_t, the damping
 alpha_t, the two attenuation sequences gamma_{t,1} / gamma_{t,2}, and the
 noise standard deviations sigma_{t,zeta} / sigma_{t,xi}, which every agent
-shares.  A schedule set has no noise dimension: each draw takes its (m, d)
-shape from the problem.
+shares.  A schedule set has no noise dimension: a run's streams take their
+(m, d) shape from the problem when the run starts.
 
 Noise convention: a std-dev sigma maps to a per-element Laplace scale
 nu = sigma / sqrt(2), so each element has variance 2 nu^2 = sigma^2.
@@ -32,7 +32,7 @@ per-round pass gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,68 +93,36 @@ def standard_laplace(rng, size: int) -> np.ndarray:
 
 
 class LaplaceStream:
-    """The unit-scale Laplace blocks of one run and tag, drawn from ``rng``.
-
-    The stream is bound to the (m, d) shape of its first block and refuses
-    another.  It then refills ``rounds`` = K blocks per pass, as many as keep
-    K * m * d within NOISE_BLOCK_ELEMENTS and at least one; the blocks are
+    """The unit-scale Laplace (m, dim) blocks of one run and tag, drawn from
+    ``rng``.  A refill holds ``rounds`` = K blocks, as many as keep
+    K * m * dim within NOISE_BLOCK_ELEMENTS and at least one; the blocks are
     the same for every K."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, m: int, dim: int):
         self.rng = rng
-        self.rounds = 0
-        self.shape: tuple[int, int] | None = None
-        self._blocks = np.empty((0, 0, 0))
-        self._next = 0
+        self.rounds = max(1, NOISE_BLOCK_ELEMENTS // (m * dim))
+        self._refill = (self.rounds, m, dim)
+        self._blocks = None
+        self._next = self.rounds
 
-    def next_block(self, m: int, dim: int) -> np.ndarray:
-        if self.shape is None:
-            self.shape = (m, dim)
-            self.rounds = max(1, NOISE_BLOCK_ELEMENTS // (m * dim))
-        elif self.shape != (m, dim):
-            raise ValueError(f"noise stream is bound to shape {self.shape}, got {(m, dim)}")
-        if self._next == len(self._blocks):
-            self._blocks = standard_laplace(self.rng, self.rounds * m * dim).reshape(self.rounds, m, dim)
+    def next_block(self) -> np.ndarray:
+        if self._next == self.rounds:
+            self._blocks = standard_laplace(self.rng, math.prod(self._refill)).reshape(self._refill)
             self._next = 0
         self._next += 1
         return self._blocks[self._next - 1]
 
 
-def noise_streams(seed: int) -> tuple[LaplaceStream, LaplaceStream]:
-    """The zeta and xi streams of one run, indexed by tag: Philox keyed
-    seed<<64 | tag.  Philox rejects keys outside [0, 2^128), so a seed
+def noise_streams(seed: int, m: int, dim: int) -> tuple[LaplaceStream, LaplaceStream]:
+    """The zeta and xi streams of one run of m agents, indexed by tag: Philox
+    keyed seed<<64 | tag.  Philox rejects keys outside [0, 2^128), so a seed
     outside [0, 2^64) raises instead of aliasing another seed's streams."""
-    return tuple(LaplaceStream(np.random.Generator(np.random.Philox(key=(seed << 64) | tag)))
+    return tuple(LaplaceStream(np.random.Generator(np.random.Philox(key=(seed << 64) | tag)), m, dim)
                  for tag in (TAG_ZETA, TAG_XI))
 
 
-def noise_vector(stream: LaplaceStream, sigma: float, m: int, dim: int) -> np.ndarray:
+def noise_vector(stream: LaplaceStream, sigma: float) -> np.ndarray:
     """The next broadcast noise block of all m senders from ``stream``,
     stacked (m, dim): row j is sender j's vector.  ``sigma`` is the std-dev
     sigma_t; the per-element scale is sigma/sqrt(2)."""
-    return stream.next_block(m, dim) * (sigma / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# expanding projection ball
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BallRadiusTracker:
-    """Projection-ball radius (1 + sum_{p<t} gamma_{p,1}) * L_f2, O(1) per iteration.
-
-    ``radius()`` returns the radius for the *current* iteration t, i.e. with
-    the partial sum over p < t; call ``advance()`` once per completed step."""
-
-    gamma1: DecayProfile
-    L_f2: float
-    t: int = 0
-    _partial: float = field(default=0.0, repr=False)
-
-    def radius(self) -> float:
-        return (1.0 + self._partial) * self.L_f2
-
-    def advance(self) -> None:
-        self._partial += self.gamma1.value(self.t)
-        self.t += 1
+    return stream.next_block() * (sigma / math.sqrt(2.0))

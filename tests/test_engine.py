@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from test_network import neighbour_loop, weight_matrix_from_dense
 from test_problems import legacy_project_box_budget_batch
+from test_schedules import ball_radius
 
 from dagopt import engine, schedules
 from dagopt.harness.config import build_schedules, default_config
@@ -87,9 +88,19 @@ class TestStep:
     def test_tracker_ball_containment_under_noise(self):
         _, _, _, st = small_setup(noise=True)
         for _ in range(300):
-            r = st.radius.radius()
+            r = (1.0 + st.gamma1_sum) * st.problem.constants.L_f2
             assert np.linalg.norm(st.y, axis=1).max() <= r + 1e-9
             engine.step(st)
+
+    @pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+    def test_ball_radius_matches_closed_form(self, stepper):
+        _, _, sch, st = small_setup(noise=True)
+        advance = engine.step if stepper == "alg1" else engine.step_baseline
+        L_f2 = st.problem.constants.L_f2
+        for t in range(201):
+            assert st.t == t
+            assert (1.0 + st.gamma1_sum) * L_f2 == pytest.approx(ball_radius(sch.gamma1, L_f2, t), rel=1e-14)
+            advance(st)
 
     def test_noise_free_cost_monotone_after_burn_in(self):
         prob, _, _, st = small_setup(m=2, noise=False)

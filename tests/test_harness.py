@@ -92,6 +92,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_integral_float_literals_accepted(self):
+        cfg = parse_config("[experiment]\nT = 1e5\nstride = 1.0\n")
+        assert (cfg.T, cfg.stride) == (100_000, 1)
+
     @pytest.mark.parametrize("problem", ["n = 4\n", "d = 4\n", "n = 4\nd = 4\n"])
     def test_ev_slot_count_cannot_be_overridden(self, problem):
         # the EV instance always has 13 hourly slots; another n or d would be
@@ -627,13 +631,22 @@ class TestCli:
             "[experiment]\nkind = convergence\nT = 5\n[problem]\nproblem = convex\nm = 6\nn = 4\nd = 0\n",
             "[experiment]\nkind = convergence\nT = 5\nseeds = 0,0\n",
             "[experiment]\nkind = convergence\nT = 5\nseeds = 0\nworkers = 0\n",
+            *(f"[experiment]\nkind = convergence\nseeds = 0\n{kv}\n"
+              for kv in ("T = 1.5", "T = 1e400", "T = 5\n[problem]\nm = 20.7")),
+            "[experiment]\nkind = convergence\nT = 5\nseeds = 0\n[schedules]\nx0_policy = random\n",
+            *(f"[experiment]\nkind = convergence\nT = 5\nseeds = 0\n[schedules]\n{kv}\n"
+              for kv in ("lambda0 = 0", "alpha0 = -1", "gamma1 = inf", "gamma2 = nan", "sigma_zeta = 0",
+                         "sigma_xi = 0", "u = nan", "w1 = inf")),
+            "[experiment]\nkind = robustness\nT = 5\nseeds = 0\n[robustness]\nbaseline_lambda = nan\n",
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
              "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
              "no-untruthful-agent", "untruthful-agent-m", "untruthful-agent-negative", "untruthful-agent-twice",
              "shift-fraction-negative", "shift-fraction-above-1", "pivot-slot-0", "pivot-slot-13",
              "truthful-T-negative", "ring-m-2", "m-0", "problem-seed-negative", "problem-seed-2-to-the-128",
-             "topology-seed-negative", "n-0", "d-0", "seeds-repeated", "workers-0"],
+             "topology-seed-negative", "n-0", "d-0", "seeds-repeated", "workers-0", "T-1.5", "T-1e400", "m-20.7",
+             "x0-policy-random", "lambda0-0", "alpha0-negative", "gamma1-inf", "gamma2-nan", "sigma-zeta-0",
+             "sigma-xi-0", "u-nan", "w1-inf", "baseline-lambda-nan"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

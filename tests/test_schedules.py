@@ -12,7 +12,6 @@ from dagopt.schedules import (
     NOISE_BLOCK_ELEMENTS,
     TAG_XI,
     TAG_ZETA,
-    BallRadiusTracker,
     DecayProfile,
     LaplaceStream,
     noise_streams,
@@ -23,7 +22,7 @@ from dagopt.schedules import (
 
 def ball_radius(gamma1, L_f2, t):
     """Radius (1 + sum_{p=0}^{t-1} gamma_{p,1}) * L_f2 of the projection ball,
-    recomputed from scratch: the reference for ``BallRadiusTracker``."""
+    recomputed from scratch: the reference for a run's ``RunState.gamma1_sum``."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if not (L_f2 > 0):
@@ -96,16 +95,16 @@ class TestDecayProfile:
 class TestNoiseStreams:
     def test_same_key_bit_identical(self):
         # two runs of one seed draw the same sequence of blocks
-        a, b = noise_streams(3)[TAG_ZETA], noise_streams(3)[TAG_ZETA]
+        a, b = noise_streams(3, 5, 13)[TAG_ZETA], noise_streams(3, 5, 13)[TAG_ZETA]
         for _ in range(3):
-            assert np.array_equal(noise_vector(a, 1.0, 5, 13), noise_vector(b, 1.0, 5, 13))
+            assert np.array_equal(noise_vector(a, 1.0), noise_vector(b, 1.0))
 
     def test_golden_draw(self):
         # frozen second xi block of seed 11; it also equals the second Laplace
         # draw from a Philox generator keyed seed<<64 | tag, built here by hand
-        rng = noise_streams(11)[TAG_XI]
-        noise_vector(rng, 0.7, 3, 4)
-        a = noise_vector(rng, 0.7, 3, 4)
+        rng = noise_streams(11, 3, 4)[TAG_XI]
+        noise_vector(rng, 0.7)
+        a = noise_vector(rng, 0.7)
         golden = np.array(
             [
                 [1.0337589601604589, -1.578248901768547, 0.08319827095964998, 0.32521585159134625],
@@ -122,47 +121,47 @@ class TestNoiseStreams:
         # seeds 2**64 apart would otherwise share a key and draw identical noise
         for seed in (-1, 1 << 64, -(1 << 64)):
             with pytest.raises(ValueError):
-                noise_streams(seed)
+                noise_streams(seed, 2, 4)
 
     def test_largest_key_fields_still_draw(self):
-        top = noise_streams(2**64 - 1)
-        zeta, xi = (noise_vector(rng, 1.0, 2, 4) for rng in top)
+        top = noise_streams(2**64 - 1, 2, 4)
+        zeta, xi = (noise_vector(rng, 1.0) for rng in top)
         assert np.all(np.isfinite(zeta)) and np.all(np.isfinite(xi))
         assert not np.array_equal(zeta, xi)
-        assert not np.array_equal(xi, noise_vector(noise_streams(0)[TAG_XI], 1.0, 2, 4))
+        assert not np.array_equal(xi, noise_vector(noise_streams(0, 2, 4)[TAG_XI], 1.0))
 
     @given(seed=st.integers(0, 2**64 - 1), tag=st.sampled_from([TAG_ZETA, TAG_XI]))
     @settings(max_examples=25, deadline=None)
     def test_reproducible_for_any_key(self, seed, tag):
-        a = noise_vector(noise_streams(seed)[tag], sigma=1.0, m=3, dim=4)
-        b = noise_vector(noise_streams(seed)[tag], sigma=1.0, m=3, dim=4)
+        a = noise_vector(noise_streams(seed, 3, 4)[tag], sigma=1.0)
+        b = noise_vector(noise_streams(seed, 3, 4)[tag], sigma=1.0)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_differ(self):
-        zeta0 = noise_streams(0)[TAG_ZETA]
-        base = noise_vector(zeta0, 1.0, 4, 16)
+        zeta0 = noise_streams(0, 4, 16)[TAG_ZETA]
+        base = noise_vector(zeta0, 1.0)
         for other in (
-            noise_vector(noise_streams(1)[TAG_ZETA], 1.0, 4, 16),
-            noise_vector(noise_streams(0)[TAG_XI], 1.0, 4, 16),
-            noise_vector(zeta0, 1.0, 4, 16),  # the next round's block
+            noise_vector(noise_streams(1, 4, 16)[TAG_ZETA], 1.0),
+            noise_vector(noise_streams(0, 4, 16)[TAG_XI], 1.0),
+            noise_vector(zeta0, 1.0),  # the next round's block
         ):
             assert not np.array_equal(base, other)
 
     def test_agents_draw_distinct_rows(self):
-        draw = noise_vector(noise_streams(0)[TAG_ZETA], 1.0, 50, 16)
+        draw = noise_vector(noise_streams(0, 50, 16)[TAG_ZETA], 1.0)
         assert len({row.tobytes() for row in draw}) == 50
 
     def test_elementwise_variance_is_sigma_squared(self):
         # std-dev sigma maps to Laplace scale sigma/sqrt(2): variance sigma^2.
         sigma = 1.7
-        rng = noise_streams(0)[TAG_XI]
-        draws = np.concatenate([noise_vector(rng, sigma, 10, 64) for _ in range(50)])
+        rng = noise_streams(0, 10, 64)[TAG_XI]
+        draws = np.concatenate([noise_vector(rng, sigma) for _ in range(50)])
         assert draws.var() == pytest.approx(sigma**2, rel=0.05)
         assert abs(draws.mean()) < 0.05
 
     def test_sigma_scales_linearly(self):
-        a = noise_vector(noise_streams(4)[TAG_ZETA], 1.0, 3, 6)
-        b = noise_vector(noise_streams(4)[TAG_ZETA], 3.0, 3, 6)
+        a = noise_vector(noise_streams(4, 3, 6)[TAG_ZETA], 1.0)
+        b = noise_vector(noise_streams(4, 3, 6)[TAG_ZETA], 3.0)
         assert np.allclose(b, 3.0 * a, rtol=1e-12)
 
 
@@ -185,22 +184,20 @@ class TestLaplaceKernel:
 
     @pytest.mark.parametrize("m, dim", [(10, 13), (3, 4), (1000, 13)])
     def test_blocks_do_not_depend_on_rounds_per_refill(self, monkeypatch, m, dim):
-        # a stream fixes K at its first block; the later blocks come round by round
-        streams, firsts = [], []
+        # a stream fixes K when it is built; its blocks come round by round
+        streams = []
         for K in (1, 2, 7, 31):
             monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", K * m * dim)
-            streams.append(LaplaceStream(philox((7 << 64) | TAG_ZETA)))
-            firsts.append(streams[-1].next_block(m, dim))
+            streams.append(LaplaceStream(philox((7 << 64) | TAG_ZETA), m, dim))
             assert streams[-1].rounds == K
-        assert all(np.array_equal(firsts[0], other) for other in firsts[1:])
-        for _ in range(40):
-            blocks = [stream.next_block(m, dim) for stream in streams]
+        for _ in range(41):
+            blocks = [stream.next_block() for stream in streams]
+            assert all(block.shape == (m, dim) for block in blocks)
             assert all(np.array_equal(blocks[0], other) for other in blocks[1:])
 
     def test_default_refill_within_the_element_bound(self):
         for m, dim, K in ((10, 13, 31), (20, 13, 15), (1000, 13, 1), (1, 1, NOISE_BLOCK_ELEMENTS)):
-            stream = noise_streams(0)[TAG_XI]
-            stream.next_block(m, dim)
+            stream = noise_streams(0, m, dim)[TAG_XI]
             assert stream.rounds == K and K * m * dim <= max(NOISE_BLOCK_ELEMENTS, m * dim)
 
     def test_zero_uniform_skipped(self, monkeypatch):
@@ -210,16 +207,9 @@ class TestLaplaceKernel:
         assert np.array_equal(draws, scalar_laplace(ScriptedUniforms(uniforms), 4, 1.0))
         # two rounds of (1, 2) per refill: the zeros fall inside one refill
         monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", 4)
-        stream = LaplaceStream(ScriptedUniforms(uniforms))
-        blocks = [stream.next_block(1, 2), stream.next_block(1, 2)]
+        stream = LaplaceStream(ScriptedUniforms(uniforms), 1, 2)
+        blocks = [stream.next_block(), stream.next_block()]
         assert np.array_equal(np.concatenate(blocks).ravel(), scalar_laplace(ScriptedUniforms(uniforms), 4, 1.0))
-
-    def test_shape_change_refused(self):
-        stream = noise_streams(1)[TAG_ZETA]
-        noise_vector(stream, 1.0, 5, 13)
-        with pytest.raises(ValueError, match="bound to shape"):
-            noise_vector(stream, 1.0, 13, 5)
-        assert noise_vector(stream, 1.0, 5, 13).shape == (5, 13)
 
 
 class TestBallRadius:
@@ -234,13 +224,6 @@ class TestBallRadius:
         for t in range(6):
             assert ball_radius(g1, 3.0, t) == pytest.approx((1.0 + acc) * 3.0, rel=1e-14)
             acc += g1.value(t)
-
-    def test_tracker_matches_closed_form(self):
-        g1 = DecayProfile(1.0, 1.2)
-        tracker = BallRadiusTracker(gamma1=g1, L_f2=4.2)
-        for t in range(200):
-            assert tracker.radius() == pytest.approx(ball_radius(g1, 4.2, t), rel=1e-14)
-            tracker.advance()
 
     def test_radius_nondecreasing_and_bounded_when_summable(self):
         g1 = DecayProfile(1.0, 1.2)  # exponent > 1: summable, radius stays finite
