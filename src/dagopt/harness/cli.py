@@ -18,8 +18,7 @@ import numpy as np
 from .. import privacy
 from ..errors import ConfigError, DagoptError
 from ..network import load_edgelist, uniform_weights, validate_assumption2
-from ..problems import finite_diff_check
-from ..problems.gradcheck import random_interior_point
+from ..problems.gradcheck import finite_diff_check, random_interior_point
 from .config import build_instance, build_problem, config_to_text, default_config, parse_config
 from .experiments import (
     AdjacentScenario,

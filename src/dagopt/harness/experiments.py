@@ -25,7 +25,7 @@ import numpy as np
 from .. import engine, privacy
 from ..engine import CSV_COLUMNS, MetricsRecord
 from ..errors import DagoptError
-from ..problems import F_value, centralized_oracle, ev_problem
+from ..problems import centralized_oracle, ev_problem
 from ..problems.ev import EVChargingSpec
 from ..problems.oracle import OracleSolution
 from .config import ExperimentConfig, build_instance, config_to_text, manifest_hash
@@ -84,7 +84,6 @@ def _records_job(cfg: ExperimentConfig, seeds: list[int], instance, steppers: tu
 @dataclass(frozen=True)
 class ConvergenceSummary:
     cfg: ExperimentConfig
-    per_seed: dict[int, list[MetricsRecord]]
     mean_records: list[MetricsRecord]
     slope: float
     slope_metric: str  # which column the slope was fitted on
@@ -145,7 +144,6 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     slope = fit_loglog_slope(mean, metric, cfg.T / 10.0, cfg.T)
     return ConvergenceSummary(
         cfg=cfg,
-        per_seed=per_seed,
         mean_records=mean,
         slope=slope,
         slope_metric=metric,
@@ -164,7 +162,6 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
 
 @dataclass(frozen=True)
 class CurveVerdict:
-    diverged: bool
     error_ratio: float  # error(t_end) / error(T_REF)
     flagged: bool  # diverged or ratio > threshold
 
@@ -191,7 +188,7 @@ def _verdict(records: list[MetricsRecord], diverged_at) -> CurveVerdict:
     t_end = records[-1].t
     ratio = _error_at(records, t_end) / _error_at(records, T_REF)
     diverged = diverged_at is not None or any(r.diverged for r in records)
-    return CurveVerdict(diverged=diverged, error_ratio=ratio, flagged=diverged or ratio > RATIO_THRESHOLD)
+    return CurveVerdict(error_ratio=ratio, flagged=diverged or ratio > RATIO_THRESHOLD)
 
 
 def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
@@ -294,8 +291,8 @@ def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], instance, fake_pr
             x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
         # realized prices come from actual schedules and TRUE demands
         phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
-        cost = sum(true_problem.eval_f_all(x_eval, phi_eval[None, :])[list(scenario.agents)])
-        return float(cost), F_value(true_problem, x_eval)
+        f_eval = true_problem.eval_f_all(x_eval, phi_eval[None, :])
+        return float(sum(f_eval[list(scenario.agents)])), float(f_eval.sum())
 
     def gains(seed, stepper, noise_enabled):
         # (the liars' cost saving, the inflation of F) from misreporting

@@ -11,7 +11,7 @@ W is never dense on the run path: ``build_weight_matrix`` builds the
 neighbour table and the diagonal straight from the edge list, and mixing
 costs O(edges), each agent combining only its neighbours' rows.  The dense
 W is made only on request (``WeightMatrix.matrix``): for the tests, for
-``validate_assumption2`` and for the build's fallback eigen-solve below.
+``validate_assumption2``, which the build falls back to (below).
 The spectral certificate also costs O(edges) for the uniform-weight matrix
 W = -edge_weight * L (L the graph Laplacian), through two classical bounds
 on L's spectrum:
@@ -25,7 +25,8 @@ on L's spectrum:
   delta_2 = -edge_weight * a(G) from above.
 
 Only an input that either bound cannot decide pays for the dense m x m
-eigen-solve.  ``validate_assumption2`` stays dense: it is the diagnostic that
+eigen-solve, through ``validate_assumption2``, whose violations the refusal
+reports.  ``validate_assumption2`` stays dense: it is the diagnostic that
 checks any given matrix.
 """
 
@@ -217,9 +218,9 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     """Uniform-weight mixing matrix for a connected topology.
 
     Certifies -1 < delta_m and delta_2 < 0 from the degrees and one
-    breadth-first search (module docstring); runs the dense eigen-solve only
-    when either bound cannot decide.  Requires edge_weight * max_degree < 1
-    so that 1 + w_ii > 0."""
+    breadth-first search (module docstring); runs the dense
+    ``validate_assumption2`` only when either bound cannot decide.  Requires
+    edge_weight * max_degree < 1 so that 1 + w_ii > 0."""
     ecc = topology.eccentricity()
     if ecc is None:
         raise DisconnectedTopology(f"topology on {topology.m} agents is not connected")
@@ -231,11 +232,9 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     band = edge_weight * float((deg[e[:, 0]] + deg[e[:, 1]]).max(initial=0)) < 1.0 - _SPECTRAL_TOL
     gap = m == 1 or edge_weight * 4.0 / (m * 2 * ecc) > _SPECTRAL_TOL
     if not (band and gap):
-        eig = np.sort(np.linalg.eigvalsh(W.matrix))[::-1]
-        if eig[-1] <= -1.0 + _SPECTRAL_TOL:
-            raise SpectralViolation(f"smallest eigenvalue {eig[-1]:.12g} <= -1 (tolerance {_SPECTRAL_TOL})")
-        if m > 1 and eig[1] >= -_SPECTRAL_TOL:
-            raise SpectralViolation(f"second-largest eigenvalue {eig[1]:.12g} is not strictly negative")
+        cert = validate_assumption2(W)
+        if not cert.ok:
+            raise SpectralViolation("; ".join(cert.violations))
     return W
 
 

@@ -328,13 +328,9 @@ def check_lemma2_bounds(draws: int, horizon: int, seed: int = 0) -> list[Lemma2D
         phi0 = 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-3, 2))
         b0 = float(10.0 ** rng.uniform(-3, 1))
         if k % 2 == 0:  # case (i)
-            while True:
-                a = float(rng.uniform(0.05, 0.95))
-                b = float(rng.uniform(a + 0.02, a + 0.9))
-                lo = max(b - a, 0.0)
-                if lo < 0.98:
-                    break
-            a0 = float(rng.uniform(lo + 0.01, 1.0))
+            a = float(rng.uniform(0.05, 0.95))
+            b = float(rng.uniform(a + 0.02, a + 0.9))
+            a0 = float(rng.uniform(b - a + 0.01, 1.0))
             results.append(check_lemma2_case_i(a0, b0, a, b, phi0, horizon))
         else:  # case (ii)
             a = float(rng.uniform(1.05, 3.0))

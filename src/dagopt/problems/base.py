@@ -34,7 +34,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,15 +68,13 @@ class AggregativeProblem:
     constants: ProblemConstants
     psi_lo: np.ndarray  # (d,) domain box for psi
     psi_hi: np.ndarray
-    name: str = "problem"
-    # Gradient-check hooks.  interior_check(x, h) -> (m,) bool says which
-    # agents' x^i +- h stay in the smooth evaluation region; the default
-    # (None) means "projection leaves the perturbed point unchanged", which
-    # is the right test for full-dimensional sets but not for sets with
-    # equality constraints (the EV budget), whose f/g are smooth off the set.
-    interior_check: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    # Gradient-check hooks.  interior_check(x, h) -> (m, n) bool says which
+    # coordinates x^i_j +- h stay in the region where f and g are smooth
+    # (for the EV budget set, whose interior is empty, the rate box);
     # interior_sampler(rng) -> (m, n) draws a strictly interior point.
-    interior_sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None
+    interior_check: Callable[[np.ndarray, float], np.ndarray]
+    interior_sampler: Callable[[np.random.Generator], np.ndarray]
+    name: str = "problem"
     meta: dict = field(default_factory=dict)
 
     # Method wrappers around the fields, kept as the names callers (and

@@ -112,7 +112,7 @@ class EVChargingSpec:
     # but f_i and g_i are smooth in x everywhere, so interiority only needs
     # the rate box (and the psi clamp, handled by the psi domain).
     def interior_check(self, x, h2):
-        return np.all((x > h2) & (x < self.x_max - h2), axis=1)
+        return (x > h2) & (x < self.x_max - h2)
 
     def interior_sampler(self, rng):
         rand_pt = BoxBudgetProjection(self.x_max, self.E)(rng.uniform(0.0, 1.0, (self.m, K_SLOTS)) * self.x_max)

@@ -10,7 +10,6 @@ from ..errors import PointTooCloseToBoundary
 from .base import AggregativeProblem
 
 H = 1e-5  # central-difference step
-PULL = 0.25  # share of the way towards the box centre for random points
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ def _rel(err: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(err).max(axis=axes) / np.maximum(1.0, np.abs(ref).max(axis=axes))
 
 
-def _central(fn, arr: np.ndarray, h: float) -> np.ndarray:
+def central_differences(fn, arr: np.ndarray, h: float) -> np.ndarray:
     """Central differences of ``fn`` along each column j of ``arr``, stacked
     on axis 1.  Column j moves in every row at once, so one pair of
     evaluations gives the derivatives of all m agents."""
@@ -38,36 +37,26 @@ def finite_diff_check(problem: AggregativeProblem, x: np.ndarray, psi: np.ndarra
     differences of f_all and g_all.
 
     ``x`` is the stacked (m, n) decision, ``psi`` a single d-vector at which
-    every agent is probed.  Points must be strictly interior: each x^i +- H
-    must survive projection unchanged (or pass the problem's interior_check)
-    and psi +- H must stay inside the psi domain box.  The analytic (n, d)
-    Jacobian of each g_i is recovered by applying gg_apply_all to the d unit
-    vectors."""
-    m, n, d = problem.m, problem.n, problem.d
+    every agent is probed.  Points must be strictly interior: every x^i_j +- 2h
+    must pass the problem's interior_check and psi +- 2h must stay inside the
+    psi domain box.  The analytic (n, d) Jacobian of each g_i is recovered by
+    applying gg_apply_all to the d unit vectors."""
+    m, d = problem.m, problem.d
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
 
-    # interiority checks
-    if problem.interior_check is not None:
-        inside = problem.interior_check(x, 2 * H)
-        if not inside.all():
-            raise PointTooCloseToBoundary(f"x^{int(np.argmin(inside))} within 2h of the smooth-domain boundary")
-    else:
-        moved = np.zeros((m, n), dtype=bool)
-        for j, e in enumerate(2 * H * np.eye(n)):
-            for pt in (x + e, x - e):
-                moved[:, j] |= np.abs(problem.project_all(pt) - pt).max(axis=1) > 1e-12
-        if moved.any():
-            i, j = np.argwhere(moved)[0]
-            raise PointTooCloseToBoundary(f"x^{i} coordinate {j} within 2h of the boundary of X_{i}")
+    inside = problem.interior_check(x, 2 * H)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        raise PointTooCloseToBoundary(f"x^{i} coordinate {j} within 2h of the boundary of its smooth region")
     if np.any(psi - 2 * H <= problem.psi_lo) or np.any(psi + 2 * H >= problem.psi_hi):
         raise PointTooCloseToBoundary("psi within 2h of the psi domain box")
 
     P = np.broadcast_to(psi, (m, d))
-    fd1, an1 = _central(lambda v: problem.f_all(v, P), x, H), problem.grad1_all(x, P)
-    fd2, an2 = _central(lambda v: problem.f_all(x, v), P, H), problem.grad2_all(x, P)
+    fd1, an1 = central_differences(lambda v: problem.f_all(v, P), x, H), problem.grad1_all(x, P)
+    fd2, an2 = central_differences(lambda v: problem.f_all(x, v), P, H), problem.grad2_all(x, P)
     # the Jacobians of g, stacked (m, n, d); the analytic one column by column
-    fdJ = _central(problem.g_all, x, H)
+    fdJ = central_differences(problem.g_all, x, H)
     anJ = np.stack([problem.gg_apply_all(x, np.broadcast_to(e, (m, d))) for e in np.eye(d)], axis=2)
     names = ("grad1_all", "grad2_all", "gg_apply_all")
     rel = np.stack([_rel(fd1 - an1, an1), _rel(fd2 - an2, an2), _rel(fdJ - anJ, anJ)], axis=1)  # (m, 3)
@@ -76,17 +65,10 @@ def finite_diff_check(problem: AggregativeProblem, x: np.ndarray, psi: np.ndarra
 
 
 def random_interior_point(problem: AggregativeProblem, seed: int):
-    """A strictly interior (x, psi) pair for gradient checking.
-
-    x is the problem's interior sample, or a uniform draw pulled towards
-    the center of the box [-1, 1]^n; psi is drawn well inside the psi
-    domain box."""
+    """A strictly interior (x, psi) pair for gradient checking: x is the
+    problem's interior sample, psi is drawn well inside the psi domain box."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if problem.interior_sampler is not None:
-        x = problem.interior_sampler(rng)
-    else:
-        # projection is a no-op for interior points and a guard otherwise
-        x = problem.project_all((1.0 - PULL) * rng.uniform(-1.0, 1.0, size=(problem.m, problem.n)))
+    x = problem.interior_sampler(rng)
     u = rng.uniform(0.3, 0.7, size=problem.d)
     psi = problem.psi_lo + u * (problem.psi_hi - problem.psi_lo)
     return x, psi

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DagoptError
 from .base import AggregativeProblem, ProblemConstants, F_grad
+from .gradcheck import H, central_differences
 
 KINDS = ("strongly-convex", "convex", "nonconvex")
 KAPPA = 0.1  # 0.1 x the unit quadratic curvature scale
+PULL = 0.25  # share of the way towards the box centre for interior samples
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,12 @@ class SyntheticData:
 
     def project_all(self, x):
         return np.clip(x, -1.0, 1.0)
+
+    def interior_check(self, x, h):
+        return np.abs(x) <= 1.0 - h
+
+    def interior_sampler(self, rng):
+        return (1.0 - PULL) * rng.uniform(-1.0, 1.0, size=self.a.shape)
 
 
 def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> AggregativeProblem:
@@ -134,6 +143,8 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         grad2_all=data.grad2_all,
         gg_apply_all=data.gg_apply_all,
         project_all=data.project_all,
+        interior_check=data.interior_check,
+        interior_sampler=data.interior_sampler,
         meta={"a": a, "b": b, "q": q, "A": A, "c": c, "kappa": kappa, "kind": kind, "seed": seed},
     )
     if kind == "nonconvex":
@@ -142,19 +153,16 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
 
 
 def _assert_nonconvex(prob: AggregativeProblem) -> None:
-    """Numeric check that F has a negative Hessian eigenvalue on X."""
-    m, n = prob.m, prob.n
-    x0 = np.full((m, n), 0.9)  # sin''(0.9) < 0 everywhere
-    h = 1e-5
-    dim = m * n
-    H = np.zeros((dim, dim))
-    base = x0.reshape(-1)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        gp = F_grad(prob, (base + e).reshape(m, n)).reshape(-1)
-        gm = F_grad(prob, (base - e).reshape(m, n)).reshape(-1)
-        H[:, j] = (gp - gm) / (2 * h)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
+    """Numeric check that F has a negative Hessian eigenvalue on X.
+
+    Only agent 0's n x n diagonal block H_00 of the Hessian at x = 0.9 is
+    differenced (2n gradient calls for any m).  H_00 = -kappa sin(0.9) I +
+    A_0'A_0/m, and every column of A_0 has squared norm <= 0.09 < 2 kappa
+    sin(0.9), so for m >= 2 the block has a negative diagonal entry, hence a
+    negative eigenvalue, and by Cauchy interlacing so does the full Hessian;
+    at m = 1 the block is the full Hessian."""
+    x0 = np.full((prob.m, prob.n), 0.9)  # sin''(0.9) < 0 everywhere
+    H00 = central_differences(lambda row: F_grad(prob, np.concatenate([row, x0[1:]]))[:1], x0[:1], H)[0]
+    lam_min = float(np.linalg.eigvalsh(0.5 * (H00 + H00.T)).min())
     if lam_min >= 0:
-        raise ValueError(f"nonconvex instance failed curvature check: min Hessian eigenvalue {lam_min:.3e} >= 0")
+        raise DagoptError(f"nonconvex instance failed curvature check: min Hessian eigenvalue {lam_min:.3e} >= 0")

@@ -36,6 +36,7 @@ from dagopt.harness.experiments import (
 )
 from dagopt.harness.svgplot import Series, line_plot
 from dagopt.problems import oracle as oracle_module
+from dagopt.problems.base import F_value
 from dagopt.problems.ev import desk_ev_spec
 
 
@@ -293,7 +294,7 @@ def legacy_truthfulness_job(cfg, seeds, scenario):
         phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
         psi_eval = np.broadcast_to(phi_eval, (true_problem.m, true_problem.d))
         cost = sum(true_problem.eval_f_all(x_eval, psi_eval)[list(scenario.agents)])
-        return float(cost), ex.F_value(true_problem, x_eval)
+        return float(cost), F_value(true_problem, x_eval)
 
     out = []
     for seed in seeds:
@@ -638,6 +639,8 @@ class TestCli:
               for kv in ("lambda0 = 0", "alpha0 = -1", "gamma1 = inf", "gamma2 = nan", "sigma_zeta = 0",
                          "sigma_xi = 0", "u = nan", "w1 = inf")),
             "[experiment]\nkind = robustness\nT = 5\nseeds = 0\n[robustness]\nbaseline_lambda = nan\n",
+            "[experiment]\nkind = convergence\nT = 5\nseeds = 0\n[problem]\nproblem = nonconvex\nm = 1\nn = 1\nd = 1\n"
+            "problem_seed = 1\n",
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
              "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
@@ -646,7 +649,7 @@ class TestCli:
              "truthful-T-negative", "ring-m-2", "m-0", "problem-seed-negative", "problem-seed-2-to-the-128",
              "topology-seed-negative", "n-0", "d-0", "seeds-repeated", "workers-0", "T-1.5", "T-1e400", "m-20.7",
              "x0-policy-random", "lambda0-0", "alpha0-negative", "gamma1-inf", "gamma2-nan", "sigma-zeta-0",
-             "sigma-xi-0", "u-nan", "w1-inf", "baseline-lambda-nan"],
+             "sigma-xi-0", "u-nan", "w1-inf", "baseline-lambda-nan", "nonconvex-without-curvature"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

@@ -206,11 +206,13 @@ class TestWeightMatrix:
     @pytest.mark.parametrize("name, topo, weight", SPECTRAL_CASES, ids=[f"{c[0]}-{c[2]!r}" for c in SPECTRAL_CASES])
     def test_verdict_equals_dense_certificate(self, name, topo, weight):
         dense = dense_weight_matrix(topo, weight)
-        if validate_assumption2(dense).ok:
+        cert = validate_assumption2(dense)
+        if cert.ok:
             assert np.array_equal(build_weight_matrix(topo, weight).matrix, dense)
         else:
-            with pytest.raises(SpectralViolation):
+            with pytest.raises(SpectralViolation) as exc:
                 build_weight_matrix(topo, weight)
+            assert str(exc.value) == "; ".join(cert.violations)
 
     def test_certified_without_the_dense_solve(self, monkeypatch):
         topo = generate_k_regular(1000, 4, seed=0)

@@ -1,6 +1,7 @@
 """Problem instances: projections, gradients, constants, and the oracle."""
 
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dagopt.engine import metrics_block
 from dagopt.errors import DagoptError, InfeasibleBudget, PointTooCloseToBoundary
 from dagopt.harness.experiments import AdjacentScenario, perturb_spec
+from dagopt.problems import synthetic
 from dagopt.problems.base import F_grad, F_value, aggregate
 from dagopt.problems.ev import desk_ev_spec, ev_problem
 from dagopt.problems.gradcheck import finite_diff_check, random_interior_point
@@ -373,6 +375,53 @@ class TestSynthetic:
             synthetic_problem("cubic", 4, 2, 2, seed=0)
 
 
+def full_hessian_min_eigenvalue(prob):
+    """The curvature check that differenced all m*n columns of F's Hessian,
+    kept as the reference for the block check: the smallest eigenvalue of
+    the symmetrized (m*n) x (m*n) finite-difference Hessian at x = 0.9."""
+    m, n = prob.m, prob.n
+    h, dim = 1e-5, m * n
+    base = np.full(dim, 0.9)
+    H = np.zeros((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        gp = F_grad(prob, (base + e).reshape(m, n)).reshape(-1)
+        gm = F_grad(prob, (base - e).reshape(m, n)).reshape(-1)
+        H[:, j] = (gp - gm) / (2 * h)
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
+
+
+class TestNonconvexCheck:
+    @pytest.mark.parametrize("m", [6, 400])
+    def test_two_gradient_calls_per_coordinate_for_any_m(self, monkeypatch, m):
+        calls = []
+
+        def counting(prob, x):
+            calls.append(x.shape)
+            return F_grad(prob, x)
+
+        monkeypatch.setattr(synthetic, "F_grad", counting)
+        synthetic_problem("nonconvex", m, 13, 13, seed=0)
+        assert calls == [(m, 13)] * 26
+
+    def test_refusals_match_the_full_hessian(self, monkeypatch):
+        check = synthetic._assert_nonconvex
+        monkeypatch.setattr(synthetic, "_assert_nonconvex", lambda prob: None)
+        refused = []
+        for m, n, d, seed in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), range(20)):
+            prob = synthetic_problem("nonconvex", m, n, d, seed=seed)
+            lam_min = full_hessian_min_eigenvalue(prob)
+            if lam_min >= 0:
+                refused.append((m, n, d, seed))
+                # at m = 1 agent 0's block is the whole Hessian: the same number
+                with pytest.raises(DagoptError, match=f"eigenvalue {lam_min:.3e} >= 0"):
+                    check(prob)
+            else:
+                check(prob)
+        assert refused and all(m == 1 for m, *_ in refused)
+
+
 class TestPickle:
     """A problem is data plus kernels, so it survives a pickle round trip and
     the copy's kernels give the original's bytes."""
@@ -511,6 +560,20 @@ class TestGradCheck:
             x_ref, psi_ref = reference_interior_point(prob, seed)
             assert np.array_equal(x, x_ref) and np.array_equal(psi, psi_ref)
 
+    def test_synthetic_interior_check_matches_the_projection_probe(self):
+        # the probe the box hook replaced: x^i_j +- h must survive projection
+        prob = gradcheck_problem("convex")
+        h = 2e-5
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            x = rng.choice([-1.0, 1.0], size=(prob.m, prob.n)) * (1.0 - rng.uniform(0.0, 3 * h, (prob.m, prob.n)))
+            probe = np.ones(x.shape, dtype=bool)
+            for j, e in enumerate(h * np.eye(prob.n)):
+                for pt in (x + e, x - e):
+                    probe[:, j] &= np.abs(prob.project_all(pt) - pt).max(axis=1) <= 1e-12
+            assert 0 < probe.sum() < probe.size
+            assert np.array_equal(prob.interior_check(x, h), probe)
+
     def test_boundary_point_names_the_agent(self):
         prob = gradcheck_problem("convex")
         x, psi = random_interior_point(prob, seed=0)
@@ -521,6 +584,9 @@ class TestGradCheck:
         x, psi = random_interior_point(ev, seed=0)
         x[7, 0] = 0.0
         with pytest.raises(PointTooCloseToBoundary, match="x\\^7 "):
+            finite_diff_check(ev, x, psi)
+        # both kinds of problem name the coordinate
+        with pytest.raises(PointTooCloseToBoundary, match="x\\^7 coordinate 0 "):
             finite_diff_check(ev, x, psi)
 
 
