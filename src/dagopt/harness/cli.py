@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from dataclasses import replace
 
@@ -44,6 +45,10 @@ def _load_cfg(path: str):
     cfg = parse_config(text)
     out = os.environ.get("DAGOPT_OUTPUT_DIR")
     return replace(cfg, output_dir=out) if out else cfg
+
+
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _warn_unconverged_oracle(oracle) -> None:
@@ -227,6 +232,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_FAIL
     np.seterr(over="ignore", invalid="ignore")  # divergence is detected, not trapped
+    # SIGTERM unwinds like an exception, so that a run's worker pool is torn down
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         handler = {
             "run": _cmd_run,
@@ -239,6 +246,8 @@ def main(argv=None) -> int:
     except DagoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

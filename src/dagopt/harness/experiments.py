@@ -47,7 +47,9 @@ def _map_seeds(job, cfg: ExperimentConfig, *args) -> list:
     """Run ``job(cfg, seeds, *args)`` on contiguous chunks of ``cfg.seeds``,
     one chunk per worker (in-process for a single chunk, otherwise with
     ``args`` pickled to a spawned worker), and return the per-seed results
-    in seed order."""
+    in seed order.  An exception or ``SystemExit`` while the chunks run,
+    such as the one the CLI raises on SIGTERM, terminates the workers before
+    it propagates."""
     seeds = list(cfg.seeds)
     n = min(cfg.workers, len(seeds))
     if n <= 1:
@@ -55,8 +57,15 @@ def _map_seeds(job, cfg: ExperimentConfig, *args) -> list:
     bounds = [len(seeds) * k // n for k in range(n + 1)]
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
-        futures = [pool.submit(job, cfg, seeds[lo:hi], *args) for lo, hi in zip(bounds, bounds[1:])]
-        return [res for fut in futures for res in fut.result()]
+        try:
+            futures = [pool.submit(job, cfg, seeds[lo:hi], *args) for lo, hi in zip(bounds, bounds[1:])]
+            return [res for fut in futures for res in fut.result()]
+        except BaseException:
+            # leaving the block waits for running chunks; the executor has no
+            # public way to stop them before Python 3.14's terminate_workers
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            raise
 
 
 def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, stepper: str,

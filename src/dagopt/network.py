@@ -77,8 +77,13 @@ class Topology:
         return np.bincount(self.edge_index.ravel(), minlength=self.m)
 
     def eccentricity(self) -> int | None:
-        """Hop distance from agent 0 to the agent farthest from it, by one
-        breadth-first search; None when some agent cannot be reached."""
+        """Hop distance from agent 0 to the agent farthest from it; None when
+        some agent cannot be reached."""
+        return self._eccentricity
+
+    @cached_property
+    def _eccentricity(self) -> int | None:
+        """``eccentricity`` by one breadth-first search, made once."""
         if self.m == 0:
             return None
         adj = self.adjacency

@@ -2,8 +2,13 @@
 
 import csv
 import dataclasses
+import os
 import pathlib
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -422,7 +427,66 @@ class TestEmission:
         assert "input_data_hash" not in (tmp_path / "sc" / "manifest.txt").read_text()
 
 
+def live_children(pid):
+    """(pid, command line) of every process whose parent is ``pid`` and that
+    is not a zombie, from /proc."""
+    out = []
+    for entry in pathlib.Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            state, ppid = (entry / "stat").read_text().rsplit(")", 1)[1].split()[:2]
+            cmdline = (entry / "cmdline").read_bytes().replace(b"\0", b" ").decode(errors="replace")
+        except (OSError, ValueError):  # the process ended while it was read
+            continue
+        if int(ppid) == pid and state != "Z":
+            out.append((int(entry.name), cmdline))
+    return out
+
+
+def is_live(pid):
+    try:
+        return (pathlib.Path("/proc") / str(pid) / "stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def wait_until(condition, seconds, what):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, what()
+        time.sleep(0.05)
+
+
 class TestCli:
+    def test_sigterm_stops_the_worker_pool(self, tmp_path):
+        cfg_path = tmp_path / "long.ini"
+        cfg_path.write_text("[experiment]\nkind = convergence\nT = 1000000\nstride = 1000\nseeds = 0, 1\n"
+                            f"workers = 2\noutput_dir = {tmp_path / 'out'}\n[problem]\nproblem = strongly-convex\nm = 6\n")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "dagopt.harness.cli", "run", str(cfg_path)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        children = []
+        try:
+            def two_workers():
+                assert proc.poll() is None, proc.stderr.read()
+                return sum("spawn_main" in cmd for _, cmd in live_children(proc.pid)) == 2
+
+            wait_until(two_workers, 120, lambda: live_children(proc.pid))
+            children = live_children(proc.pid)  # the workers and the resource tracker
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+            wait_until(lambda: not any(is_live(pid) for pid, _ in children), 30,
+                       lambda: [c for c in children if is_live(c[0])])
+        finally:
+            for pid in [proc.pid] + [pid for pid, _ in children]:
+                if is_live(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+        assert not (tmp_path / "out").exists()
+
     def test_print_config(self, capsys):
         assert cli.main(["--print-config"]) == 0
         assert "[experiment]" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Topologies, the symmetric weight matrix, and its spectral admissibility."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dagopt.errors import DisconnectedTopology, InfeasibleDegree, SpectralViolation
+from dagopt.harness.config import build_network, default_config
 from dagopt.network import (
     Certificate,
     Topology,
@@ -132,6 +134,15 @@ class TestTopologies:
         e = top.edge_index
         assert top.edge_index is e and not e.flags.writeable
         assert e.tolist() == [list(edge) for edge in top.edges]
+
+    @pytest.mark.parametrize("topology, m", [("k-regular", 1000), ("ring", 12), ("complete", 12)])
+    def test_one_breadth_first_search_per_network_build(self, monkeypatch, topology, m):
+        # every search builds the adjacency lists once
+        searches = []
+        adjacency = Topology.adjacency
+        monkeypatch.setattr(Topology, "adjacency", property(lambda self: searches.append(1) or adjacency.fget(self)))
+        W = build_network(dataclasses.replace(default_config(), m=m, topology=topology, edge_weight=0.04))
+        assert len(searches) == 1 and W.m == m
 
     @pytest.mark.parametrize("topo, ecc", [(ring_topology(8), 4), (_path(5), 4), (_star(12), 1),
                                            (Topology(1, ()), 0), (Topology(4, ((0, 1), (2, 3))), None),
