@@ -2,11 +2,12 @@
 truthfulness) plus deterministic output emission.
 
 Each experiment builds its problem, network and schedules (truthfulness
-also its perturbed problem) once and splits its seeds into ``workers``
-contiguous chunks that run on them; problems pickle, so a chunk in another
-process gets a copy.  Per-seed results are folded in seed order, so the
-outputs are byte-identical for any worker count.  Within a chunk, the
-truthfulness experiment runs its seed-independent noise-free pair once.
+also its perturbed problem) once and hands its list of integrator runs to
+one executor, which runs equal runs once (so the truthfulness noise-free
+pair runs once per distinct x0) and splits the distinct runs into
+``workers`` contiguous chunks; problems pickle, so a chunk in another
+process gets a copy.  Results are folded in seed order, so the outputs are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,50 +41,50 @@ RATIO_THRESHOLD = 10.0
 
 
 # ---------------------------------------------------------------------------
-# seed-parallel plumbing
+# the run executor
 # ---------------------------------------------------------------------------
 
 
-def _map_seeds(job, cfg: ExperimentConfig, *args) -> list:
-    """Run ``job(cfg, seeds, *args)`` on contiguous chunks of ``cfg.seeds``,
-    one chunk per worker (in-process for a single chunk, otherwise with
-    ``args`` pickled to a spawned worker), and return the per-seed results
-    in seed order.  An exception or ``SystemExit`` while the chunks run,
-    such as the one the CLI raises on SIGTERM, terminates the workers before
-    it propagates."""
-    seeds = list(cfg.seeds)
-    n = min(cfg.workers, len(seeds))
+def _execute(cfg: ExperimentConfig, instances, runs: list, T: int, finish, **run_kwargs) -> list:
+    """``finish(result)`` for each run of ``runs``, in list order, running
+    each distinct run once.  A run is the tuple (index into ``instances``,
+    stepper, noise on, seed); T and ``run_kwargs`` hold for every run.  The
+    distinct runs are split into contiguous chunks, one per worker (in-process
+    for a single chunk, otherwise pickled to a spawned worker).  An exception
+    or ``SystemExit`` while the chunks run, such as the one the CLI raises on
+    SIGTERM, terminates the workers before it propagates."""
+    distinct = list(dict.fromkeys(runs))
+    n = min(cfg.workers, len(distinct))
     if n <= 1:
-        return job(cfg, seeds, *args)
-    bounds = [len(seeds) * k // n for k in range(n + 1)]
-    ctx = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
-        try:
-            futures = [pool.submit(job, cfg, seeds[lo:hi], *args) for lo, hi in zip(bounds, bounds[1:])]
-            return [res for fut in futures for res in fut.result()]
-        except BaseException:
-            # leaving the block waits for running chunks; the executor has no
-            # public way to stop them before Python 3.14's terminate_workers
-            for proc in list(pool._processes.values()):
-                proc.terminate()
-            raise
+        results = _run_chunk(cfg, instances, distinct, T, finish, run_kwargs)
+    else:
+        bounds = [len(distinct) * k // n for k in range(n + 1)]
+        ctx = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
+            try:
+                futures = [pool.submit(_run_chunk, cfg, instances, distinct[lo:hi], T, finish, run_kwargs)
+                           for lo, hi in zip(bounds, bounds[1:])]
+                results = [res for fut in futures for res in fut.result()]
+            except BaseException:
+                # leaving the block waits for running chunks; the executor has no
+                # public way to stop them before Python 3.14's terminate_workers
+                for proc in list(pool._processes.values()):
+                    proc.terminate()
+                raise
+    done = dict(zip(distinct, results))
+    return [done[run] for run in runs]
 
 
-def _run(problem, W, schedules, cfg: ExperimentConfig, seed: int, T: int, stepper: str,
-         noise_enabled: bool, **run_kwargs) -> engine.RunResult:
-    """One integrator run of ``seed`` on a prebuilt instance."""
-    state = engine.init_run(problem, W, schedules, seed, x0_policy=cfg.x0_policy, noise_enabled=noise_enabled)
-    return engine.run(state, T, stepper=stepper, baseline_lambda=cfg.baseline_lambda, **run_kwargs)
+def _run_chunk(cfg: ExperimentConfig, instances, runs: list, T: int, finish, run_kwargs: dict) -> list:
+    return [finish(engine.run(engine.init_run(*instances[k], seed, x0_policy=cfg.x0_policy, noise_enabled=noisy),
+                              T, stepper=stepper, baseline_lambda=cfg.baseline_lambda, **run_kwargs))
+            for k, stepper, noisy, seed in runs]
 
 
-def _records_job(cfg: ExperimentConfig, seeds: list[int], instance, steppers: tuple[str, ...], oracle):
-    """Each seed's run on ``instance`` under each of ``steppers``, in order:
-    per seed, (seed, [RunResult, ...]).  The results are copies without the
-    final state, so a chunk in another process sends back only its records
-    and scalars; ``engine.run``'s own result is left as it is."""
-    return [(seed, [replace(_run(*instance, cfg, seed, cfg.T, stepper, cfg.noise_enabled, stride=cfg.stride,
-                                 oracle=oracle), final_state=None)
-                    for stepper in steppers]) for seed in seeds]
+def _drop_state(result: engine.RunResult) -> engine.RunResult:
+    # a copy without the final state, so that a chunk in another process
+    # sends back only records and scalars; engine.run's own result is kept
+    return replace(result, final_state=None)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,9 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     per_seed: dict[int, list[MetricsRecord]] = {}
     diverged = []
     wgaps, wgrads, finals = [], [], {}
-    for seed, [run] in _map_seeds(_records_job, cfg, instance, ("alg1",), oracle):
+    runs = [(0, "alg1", cfg.noise_enabled, seed) for seed in cfg.seeds]
+    results = _execute(cfg, (instance,), runs, cfg.T, _drop_state, stride=cfg.stride, oracle=oracle)
+    for seed, run in zip(cfg.seeds, results):
         per_seed[seed] = run.records
         if run.diverged_at is not None:
             diverged.append(seed)
@@ -209,7 +213,9 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
     oracle = centralized_oracle(instance[0])
     per_seed, verdicts = {}, {}
     base_flagged, alg1_flagged = [], []
-    for seed, [a_run, b_run] in _map_seeds(_records_job, cfg, instance, ("alg1", "baseline"), oracle):
+    runs = [(0, stepper, cfg.noise_enabled, seed) for seed in cfg.seeds for stepper in ("alg1", "baseline")]
+    results = _execute(cfg, (instance,), runs, cfg.T, _drop_state, stride=cfg.stride, oracle=oracle)
+    for seed, a_run, b_run in zip(cfg.seeds, results[0::2], results[1::2]):
         per_seed[seed] = (a_run.records, b_run.records)
         va = _verdict(a_run.records, a_run.diverged_at)
         vb = _verdict(b_run.records, b_run.diverged_at)
@@ -243,8 +249,8 @@ class AdjacentScenario:
     pivot_slot: int
 
     def __post_init__(self):
-        if not self.agents:
-            raise ValueError("at least one perturbed agent required")
+        if not self.agents or len(set(self.agents)) != len(self.agents) or min(self.agents) < 0:
+            raise ValueError(f"perturbed agents must be distinct non-negative indices, got {list(self.agents)}")
         if not (0.0 <= self.shift_fraction <= 1.0):
             raise ValueError("shift_fraction must be in [0, 1]")
 
@@ -285,44 +291,20 @@ def _liar_schedule(prices: np.ndarray, x_max: np.ndarray, energy: float, window:
     return sched
 
 
-def _truthfulness_job(cfg: ExperimentConfig, seeds: list[int], instance, fake_problem, scenario: AdjacentScenario):
-    true_problem, W, schedules = instance
-    true_spec = true_problem.meta["spec"]
-    T = cfg.truthful_T
-    window = np.arange(true_spec.d.shape[1]) >= scenario.pivot_slot
-
-    def evaluate(final_state):
-        # liars disregard their computed schedule and charge greedily in the
-        # post-pivot window at the prices the run predicts, on the psi box
-        prices_pred = true_spec.price(np.minimum(final_state.psi.mean(axis=0), true_spec.psi_cap))
-        x_eval = final_state.x.copy()
-        for i in scenario.agents:
-            x_eval[i] = _liar_schedule(prices_pred, true_spec.x_max[i], true_spec.E[i], window)
-        # realized prices come from actual schedules and TRUE demands
-        phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
-        f_eval = true_problem.eval_f_all(x_eval, phi_eval[None, :])
-        return float(sum(f_eval[list(scenario.agents)])), float(f_eval.sum())
-
-    def gains(seed, stepper, noise_enabled):
-        # (the liars' cost saving, the inflation of F) from misreporting
-        (cost_p, F_p), (cost_q, F_q) = (
-            evaluate(_run(problem, W, schedules, cfg, seed, T, stepper, noise_enabled,
-                          stride=max(T, 1), track_weighted=False).final_state)
-            for problem in (true_problem, fake_problem)
-        )
-        return cost_p - cost_q, F_q - F_p
-
-    # the noise-free pair reads its seed only through a random-feasible x0,
-    # so under project-zero one pair serves every seed
-    naive = {}
-    out = []
-    for seed in seeds:
-        gain_alg1, inflation = gains(seed, "alg1", True)
-        x0_key = seed if cfg.x0_policy == "random-feasible" else None
-        if x0_key not in naive:
-            naive[x0_key] = gains(seed, "baseline", False)[0]
-        out.append((seed, gain_alg1, naive[x0_key], inflation))
-    return out
+def _outcome(true_problem, scenario: AdjacentScenario, result: engine.RunResult) -> tuple[float, float]:
+    """(the liars' cost, F) after a run: liars charge greedily in the
+    post-pivot window at the prices the run predicts, on the psi box, and
+    pay the prices the realized schedules and the TRUE demands give."""
+    spec = true_problem.meta["spec"]
+    final_state = result.final_state
+    prices_pred = spec.price(np.minimum(final_state.psi.mean(axis=0), spec.psi_cap))
+    window = np.arange(spec.d.shape[1]) >= scenario.pivot_slot
+    x_eval = final_state.x.copy()
+    for i in scenario.agents:
+        x_eval[i] = _liar_schedule(prices_pred, spec.x_max[i], spec.E[i], window)
+    phi_eval = true_problem.eval_g_all(x_eval).mean(axis=0)
+    f_eval = true_problem.eval_f_all(x_eval, phi_eval[None, :])
+    return float(sum(f_eval[list(scenario.agents)])), float(f_eval.sum())
 
 
 @dataclass(frozen=True)
@@ -343,10 +325,10 @@ class TruthfulnessSummary:
 
 def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenario) -> TruthfulnessSummary:
     """A noise-injected pair of runs per seed, on the true and the perturbed
-    demand, and a noise-free conventional pair per distinct x0 in a chunk of
-    seeds: one under project-zero, one per seed under random-feasible.  Each
-    run is followed by a greedy cheapest-window recharge for the perturbed
-    agents and a cost evaluation at the realized prices under the TRUE demands."""
+    demand, and a noise-free conventional pair per distinct x0: one under
+    project-zero, one per seed under random-feasible.  A seed's gains are
+    the liars' cost saving and the inflation of F from misreporting, each
+    from the runs' ``_outcome``."""
     true_problem, W, schedules = instance = build_instance(cfg)
     fake_problem = ev_problem(perturb_spec(true_problem.meta["spec"], scenario))
     report = privacy.epsilon(cfg.truthful_T, schedules, W)
@@ -354,8 +336,19 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
     eta_rep = privacy.eta(report.epsilon, c.L_f1, c.L_f2, c.L_g, c.D_X, c.D_f)
     rows = []
     violations = []
-    for seed, g_alg1, g_naive, inflation in _map_seeds(_truthfulness_job, cfg, instance, fake_problem, scenario):
-        rows.append((seed, g_alg1, g_naive, eta_rep.eta, inflation))
+    # a noise-free run reads its seed only through a random-feasible x0, so
+    # under project-zero every seed's noise-free pair is the first seed's
+    runs = []
+    for seed in cfg.seeds:
+        naive_seed = seed if cfg.x0_policy == "random-feasible" else cfg.seeds[0]
+        runs += [(k, "alg1", True, seed) for k in (0, 1)] + [(k, "baseline", False, naive_seed) for k in (0, 1)]
+    T = cfg.truthful_T
+    outcomes = _execute(cfg, (instance, (fake_problem, W, schedules)), runs, T,
+                        partial(_outcome, true_problem, scenario), stride=max(T, 1), track_weighted=False)
+    for k, seed in enumerate(cfg.seeds):
+        (cost_p, F_p), (cost_q, F_q), (naive_p, _), (naive_q, _) = outcomes[4 * k:4 * k + 4]
+        g_alg1 = cost_p - cost_q
+        rows.append((seed, g_alg1, naive_p - naive_q, eta_rep.eta, F_q - F_p))
         if g_alg1 > eta_rep.eta:
             violations.append(seed)
     return TruthfulnessSummary(

@@ -4,8 +4,8 @@
 renaming one breaks ``dagbench/run.py --trace 1``.  These tests load the
 tracer from its file, without changing it, install it on the imported
 package and check that every attribute was replaced and is restored.  The
-last three check the names ``dagbench/run.py`` and ``dagbench/workloads.py``
-read without the tracer."""
+others check the names ``dagbench/run.py`` and ``dagbench/workloads.py``
+read without the tracer, and the ``engine.run`` calls the latter counts."""
 
 import importlib.util
 import pathlib
@@ -86,7 +86,10 @@ def test_package_exposes_what_the_benchmark_runner_reads():
     assert dagopt.harness.config is config and dagopt.harness.experiments is experiments
 
 
-def test_convergence_experiment_passes_the_oracle_by_keyword(monkeypatch):
+def _engine_run_keywords(monkeypatch, run_experiment, text) -> list[dict]:
+    """The keyword arguments of every ``dagopt.engine.run`` call the
+    experiment makes, seen the way ``dagbench/workloads.py`` sees them: by
+    replacing the module attribute."""
     calls = []
     run = dagopt.engine.run
 
@@ -95,12 +98,47 @@ def test_convergence_experiment_passes_the_oracle_by_keyword(monkeypatch):
         return run(state, T, *args, **kwargs)
 
     monkeypatch.setattr(dagopt.engine, "run", spy)
-    cfg = dagopt.harness.parse_config("[experiment]\nkind = convergence\nT = 3\nseeds = 0\n"
-                                      "[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n"
-                                      "[topology]\ntopology = complete\nedge_weight = 0.2\n")
-    dagopt.harness.run_convergence_experiment(cfg)
+    cfg = dagopt.harness.parse_config(text)
+    if cfg.kind == "truthfulness":
+        run_experiment(cfg, dagopt.harness.AdjacentScenario(agents=cfg.untruthful_agents,
+                                                            shift_fraction=cfg.shift_fraction,
+                                                            pivot_slot=cfg.pivot_slot))
+    else:
+        run_experiment(cfg)
+    return calls
+
+
+def test_convergence_experiment_passes_the_oracle_by_keyword(monkeypatch):
+    calls = _engine_run_keywords(
+        monkeypatch, dagopt.harness.run_convergence_experiment,
+        "[experiment]\nkind = convergence\nT = 3\nseeds = 0\n"
+        "[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n"
+        "[topology]\ntopology = complete\nedge_weight = 0.2\n")
     assert calls and all(kwargs.get("oracle") is not None for kwargs in calls)
     assert all(hasattr(kwargs["oracle"], "x_star") for kwargs in calls)
+
+
+def test_robustness_experiment_passes_the_oracle_by_keyword(monkeypatch):
+    calls = _engine_run_keywords(
+        monkeypatch, dagopt.harness.run_robustness_experiment,
+        "[experiment]\nkind = robustness\nT = 3\nseeds = 0,1\n"
+        "[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n"
+        "[topology]\ntopology = complete\nedge_weight = 0.2\n")
+    assert [kwargs["stepper"] for kwargs in calls] == ["alg1", "baseline"] * 2
+    assert all(hasattr(kwargs.get("oracle"), "x_star") for kwargs in calls)
+
+
+def test_truthfulness_experiment_runs_two_noisy_runs_per_seed_and_one_noise_free_pair(monkeypatch):
+    # the benchmark counts these calls as the experiment's attempted runs
+    # and its rounds; under project-zero the noise-free pair reads no seed
+    calls = _engine_run_keywords(
+        monkeypatch, dagopt.harness.run_truthfulness_experiment,
+        "[experiment]\nkind = truthfulness\nseeds = 0,1,2\nworkers = 1\n"
+        "[schedules]\npreset = sec5-truthful\nx0_policy = project-zero\n"
+        "[truthfulness]\ntruthful_T = 5\n")
+    assert len(calls) == 2 * 3 + 2
+    assert [kwargs["stepper"] for kwargs in calls] == ["alg1", "alg1", "baseline", "baseline"] + ["alg1"] * 4
+    assert all(kwargs.get("oracle") is None for kwargs in calls)
 
 
 def test_problem_meta_holds_the_data_the_benchmark_checks():

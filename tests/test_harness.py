@@ -30,7 +30,8 @@ from dagopt.harness.config import (
 )
 from dagopt.harness.experiments import (
     AdjacentScenario,
-    _records_job,
+    _drop_state,
+    _execute,
     emit_outputs,
     fit_loglog_slope,
     input_data_hash,
@@ -176,6 +177,17 @@ class TestPerturbation:
         new = perturb_spec(spec, AdjacentScenario(agents=(2,), shift_fraction=0.0, pivot_slot=3))
         assert np.array_equal(spec.d, new.d)
 
+    def test_repeated_agent_rejected(self):
+        # a repeated agent would have its demand shifted twice and its cost
+        # counted twice in the liars' cost
+        with pytest.raises(ValueError, match="distinct"):
+            AdjacentScenario(agents=(2, 2), shift_fraction=0.4, pivot_slot=3)
+
+    def test_negative_agent_rejected(self):
+        # -1 would silently index the last agent
+        with pytest.raises(ValueError, match="non-negative"):
+            AdjacentScenario(agents=(-1,), shift_fraction=0.4, pivot_slot=3)
+
 
 class TestTruthfulnessPlumbing:
     def test_identical_problems_give_zero_gain(self):
@@ -205,6 +217,17 @@ _SMALL = {
     "truthfulness": "[experiment]\nkind = truthfulness\n[schedules]\npreset = sec5-truthful\n"
                     "[truthfulness]\ntruthful_T = 60\n",
 }
+
+
+def _emitted_files(summary, out) -> dict:
+    """The files ``emit_outputs`` writes, by name.  The manifest also holds
+    the per-seed verdicts; only its config hash and worker count may differ
+    between worker counts, so those two lines are left out."""
+    emit_outputs(summary, out)
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = files.pop("manifest.txt").decode().splitlines()
+    files["manifest.txt"] = [l for l in manifest if not l.startswith(("config_hash =", "workers ="))]
+    return files
 
 
 class TestSeedChunks:
@@ -241,16 +264,9 @@ class TestSeedChunks:
     def test_outputs_identical_across_worker_counts(self, tmp_path, kind):
         # 5 seeds over 2 workers gives uneven chunks (2 + 3)
         cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2, 3, 4))
-        outputs = {}
-        for workers in (1, 2, 5):
-            out = tmp_path / str(workers)
-            emit_outputs(_run_kind(dataclasses.replace(cfg, workers=workers)), out)
-            files = {p.name: p.read_bytes() for p in out.iterdir()}
-            # the manifest also holds the per-seed verdicts; only its config
-            # hash and worker count may differ
-            manifest = files.pop("manifest.txt").decode().splitlines()
-            files["manifest.txt"] = [l for l in manifest if not l.startswith(("config_hash =", "workers ="))]
-            outputs[workers] = files
+        outputs = {workers: _emitted_files(_run_kind(dataclasses.replace(cfg, workers=workers)),
+                                           tmp_path / str(workers))
+                   for workers in (1, 2, 5)}
         assert len(outputs[1]) >= 2
         assert outputs[2] == outputs[1]
         assert outputs[5] == outputs[1]
@@ -267,20 +283,44 @@ class TestSeedChunks:
 
         monkeypatch.setattr(engine, "run", spy)
         cfg = dataclasses.replace(default_config(), m=1000, T=20, seeds=(0,))
-        [(seed, [result])] = _records_job(cfg, [0], build_instance(cfg), ("alg1",), None)
-        assert seed == 0 and result.final_state is None
+        [result] = _execute(cfg, (build_instance(cfg),), [(0, "alg1", True, 0)], cfg.T, _drop_state)
+        assert result.final_state is None
         assert len(pickle.dumps(result)) < 16 * 1024
         # engine.run's own result is not mutated: callers of engine.run read it
         [own] = captured
         assert own.final_state is not None and own.final_state.t == 20
         assert own.records == result.records
 
+    def test_equal_runs_run_once_and_come_back_in_list_order(self, monkeypatch):
+        calls = []
+        run = engine.run
+
+        def spy(state, T, **kwargs):
+            calls.append((kwargs["stepper"], state.streams is not None))
+            return run(state, T, **kwargs)
+
+        monkeypatch.setattr(engine, "run", spy)
+        cfg = dataclasses.replace(parse_config(_SMALL["convergence"]), workers=1)
+        a, b = (0, "alg1", True, 0), (0, "baseline", False, 1)
+        results = _execute(cfg, (build_instance(cfg),), [a, b, a, b, a], cfg.T, _drop_state, stride=5)
+        assert calls == [("alg1", True), ("baseline", False)]
+        assert results[0] is results[2] is results[4] and results[1] is results[3]
+        assert results[0].records != results[1].records
+
+    def test_one_seed_robustness_split_over_two_workers(self, tmp_path):
+        # its two runs land in two processes; the files must not change
+        cfg = dataclasses.replace(parse_config(_SMALL["robustness"]), seeds=(3,))
+        outputs = {workers: _emitted_files(run_robustness_experiment(dataclasses.replace(cfg, workers=workers)),
+                                           tmp_path / str(workers))
+                   for workers in (1, 2)}
+        assert len(outputs[1]) == 4 and outputs[2] == outputs[1]
+
 
 def legacy_truthfulness_job(cfg, seeds, scenario):
-    """The four-runs-per-seed loop that ``_truthfulness_job`` replaced, kept as
-    its bit-for-bit reference: per seed, the noise-injected and the noise-free
-    pair, each on the true and on the perturbed demand.  Returns per seed
-    (seed, gain_alg1, gain_naive, inflation)."""
+    """The four-runs-per-seed loop that the truthfulness run list replaced,
+    kept as its bit-for-bit reference: per seed, the noise-injected and the
+    noise-free pair, each on the true and on the perturbed demand.  Returns
+    per seed (seed, gain_alg1, gain_naive, inflation)."""
     from dagopt.harness import experiments as ex
 
     true_problem, W, schedules = config.build_instance(cfg)
@@ -306,8 +346,10 @@ def legacy_truthfulness_job(cfg, seeds, scenario):
         gains = {}
         for stepper, noise_enabled in (("alg1", True), ("baseline", False)):
             (cost_p, F_p), (cost_q, F_q) = (
-                evaluate(ex._run(problem, W, schedules, cfg, seed, T, stepper, noise_enabled,
-                                 stride=max(T, 1), track_weighted=False).final_state)
+                evaluate(engine.run(engine.init_run(problem, W, schedules, seed, x0_policy=cfg.x0_policy,
+                                                    noise_enabled=noise_enabled),
+                                    T, stride=max(T, 1), stepper=stepper, baseline_lambda=cfg.baseline_lambda,
+                                    track_weighted=False).final_state)
                 for problem in (true_problem, fake_problem)
             )
             gains[stepper] = (cost_p - cost_q, F_q - F_p)
