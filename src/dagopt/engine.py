@@ -15,19 +15,23 @@ and every receiver sees the same obscured value.  A run owns one zeta stream
 and one xi stream, both keyed by its seed and built for its (m, d) shape by
 ``init_run`` (``schedules.noise_streams``); each iteration takes the next
 block of each, holding every sender's vector (row j is sender j).  Both
-steppers draw each tag once per round, so runs of one seed see the same
-zeta_t and xi_t whichever stepper they use.  Every draw goes through
-``noise_vector``, once per round and tag; the stream behind it refills
-several rounds' blocks at once by a vectorized inverse-CDF pass over its
-Philox uniforms (``schedules.LaplaceStream``), and a block does not depend
-on how many rounds a refill holds.
+steppers draw both tags' blocks, through ``noise_vector``, at the top of the
+round, so runs of one seed see the same zeta_t and xi_t whichever stepper
+they use.  A stream refills several rounds' blocks at once by a vectorized
+inverse-CDF pass over its Philox uniforms (``schedules.LaplaceStream``), and
+a block does not depend on how many rounds a refill holds.
+
+Both sent blocks [P_Omega(y + zeta), psi + xi] are mixed as one (2, m, d)
+stack in one ``WeightMatrix.offdiag`` pass, and each schedule value is
+evaluated once per round.  The terminal record's dry line 4 is the same
+``_line4`` on the next zeta block alone.
 
 ``run`` evaluates F(x_t) and grad F(x_t), which the records and the
 lambda-weighted averages need, once per block of iterates rather than once
-per round: it keeps a reference to each pre-step x_t (``step`` replaces the
-state's arrays and never writes into them) and stacks a block of them into
-one (B, m, n) call.  B is bounded by METRICS_BLOCK_ELEMENTS, so a block costs
-memory only where m is small.
+per round: it keeps a reference to each pre-step x_t and to the held g(x_t),
+whose mean is phi(x_t) (``step`` replaces the state's arrays and never writes
+into them), and stacks a block of B of them into one call.  B is bounded by
+METRICS_BLOCK_ELEMENTS, so a block costs memory only where m is small.
 
 The conventional gradient-tracking baseline (step_baseline) mixes with
 A = I + W, feeds y directly into the decision update, uses a constant
@@ -44,7 +48,7 @@ import numpy as np
 
 from .errors import DagoptError
 from .network import WeightMatrix
-from .problems.base import AggregativeProblem, F_grad, F_value, aggregate
+from .problems.base import AggregativeProblem, F_grad, F_value
 from .problems.oracle import OracleSolution
 from .schedules import TAG_XI, TAG_ZETA, LaplaceStream, ScheduleSet, noise_streams, noise_vector
 
@@ -127,49 +131,54 @@ def init_run(
 
 def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
     """Every sender's broadcast noise vector at iteration t, stacked (m, d):
-    the next block of the run's ``tag`` stream.  Each round calls this once
-    per tag, so that block is iteration t's."""
-    prob, sched = state.problem, state.schedules
+    the next block of the run's ``tag`` stream, which each round draws once."""
     if state.streams is None:
-        return np.zeros((prob.m, prob.d))
-    profile = sched.zeta if tag == TAG_ZETA else sched.xi
+        return np.zeros(state.y.shape)
+    profile = state.schedules.zeta if tag == TAG_ZETA else state.schedules.xi
     return noise_vector(state.streams[tag], profile.value(t))
 
 
-def _project_ball(points: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1)
-    factor = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
-    return points * factor[:, None]
+def _project_ball(points: np.ndarray, radius: float) -> None:
+    """Rescale in place the rows outside the ball; skipped when none is, as every factor would be 1.0."""
+    norms = np.sqrt(np.add.reduce(points * points, axis=1))  # np.linalg.norm's bits in fewer calls
+    if not norms.max() <= radius:
+        points *= np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
 
 
-def gradient_estimate(state: RunState, y_next: np.ndarray) -> np.ndarray:
+def _broadcasts(state: RunState, zeta: np.ndarray, xi: np.ndarray | None) -> np.ndarray:
+    """The stack [y + zeta, psi + xi] for one ``offdiag`` pass; [y + zeta] without xi."""
+    sent = np.empty((1 if xi is None else 2,) + state.y.shape)
+    np.add(state.y, zeta, out=sent[0])
+    if xi is not None:
+        np.add(state.psi, xi, out=sent[1])
+    return sent
+
+
+def gradient_estimate(state: RunState, y_next: np.ndarray, gamma1_t: float) -> np.ndarray:
     """Stacked search direction grad1_f + grad_g (y_{t+1} - y_t)/gamma_{t,1}."""
-    gamma1_t = state.schedules.gamma1.value(state.t)
     inv = 1.0 / max(gamma1_t, 1e-300)
     incr = (y_next - state.y) * inv
     return state.problem.eval_grad1_all(state.x, state.psi) + state.problem.apply_grad_g_all(state.x, incr)
 
 
-def _line4(state: RunState) -> np.ndarray:
-    """Compute y_{t+1} for the current iteration (no state mutation)."""
-    t = state.t
-    gamma1_t = state.schedules.gamma1.value(t)
-    radius = (1.0 + state.gamma1_sum) * state.problem.constants.L_f2
-    zeta = _draw_noise(state, TAG_ZETA, t)
-    shared = _project_ball(state.y + zeta, radius)
+def _line4(state: RunState, gamma1_t: float, xi: np.ndarray | None = None):
+    """(y_{t+1}, its line-5 direction, offdiag of [P_ball(y + zeta), psi + xi]) on the next zeta block,
+    without mutating the state; without xi (the terminal record's dry line 4) the stack is [P_ball(y + zeta)]."""
+    sent = _broadcasts(state, _draw_noise(state, TAG_ZETA, state.t), xi)
+    _project_ball(sent[0], (1.0 + state.gamma1_sum) * state.problem.constants.L_f2)
+    mixed = state.W.offdiag(sent)
     grad2 = state.problem.eval_grad2_all(state.x, state.psi)
-    return state.W.one_plus_diag * state.y + state.W.offdiag(shared) + gamma1_t * grad2
+    y_next = state.W.one_plus_diag * state.y + mixed[0] + gamma1_t * grad2
+    return y_next, gradient_estimate(state, y_next, gamma1_t), mixed
 
 
-def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) -> np.ndarray:
-    """psi_{t+1} from the current state and g(x_{t+1}), with the current
-    iteration's xi noise.  alpha_t = 0, gamma2_t = 1 gives the
-    conventional tracker's update bit for bit (the extra terms become exact
-    multiplications by 1 and subtractions of 0)."""
-    xi = _draw_noise(state, TAG_XI, state.t)
+def _line7(state: RunState, mixed_psi: np.ndarray, g_new: np.ndarray, alpha_t: float, gamma2_t: float) -> np.ndarray:
+    """psi_{t+1} from the current state, ``mixed_psi`` = offdiag(psi + xi) and
+    g(x_{t+1}).  alpha_t = 0, gamma2_t = 1 gives the conventional tracker's
+    update bit for bit (exact multiplications by 1 and subtractions of 0)."""
     return (
         (1.0 - alpha_t + gamma2_t * state.W.diag) * state.psi
-        + gamma2_t * state.W.offdiag(state.psi + xi)
+        + gamma2_t * mixed_psi
         + g_new
         - (1.0 - alpha_t) * state.g_cache
     )
@@ -178,16 +187,15 @@ def _line7(state: RunState, g_new: np.ndarray, alpha_t: float, gamma2_t: float) 
 def step(state: RunState) -> np.ndarray:
     """Advance one round in place; returns the stacked direction used in
     line 5 (the gradient estimate), for metrics."""
-    sched = state.schedules
-    lam_t = sched.lam.value(state.t)
+    t, sched, prob = state.t, state.schedules, state.problem
+    gamma1_t = sched.gamma1.value(t)
+    y_next, direction, mixed = _line4(state, gamma1_t, _draw_noise(state, TAG_XI, t))
+    x_next = prob.eval_project_all(state.x - sched.lam.value(t) * direction)
 
-    y_next = _line4(state)
-    direction = gradient_estimate(state, y_next)
-    x_next = state.problem.eval_project_all(state.x - lam_t * direction)
+    g_new = prob.eval_g_all(x_next)
+    psi_next = _line7(state, mixed[1], g_new, sched.alpha.value(t), sched.gamma2.value(t))
 
-    g_new = state.problem.eval_g_all(x_next)
-    psi_next = _line7(state, g_new, sched.alpha.value(state.t), sched.gamma2.value(state.t))
-
+    state.gamma1_sum += gamma1_t
     _commit(state, x_next, y_next, psi_next, g_new)
     return direction
 
@@ -197,21 +205,21 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
 
     The tracker y is fed directly into the decision update; trackers carry
     increments of grad2_f / g with no damping or projection ball.  Each round
-    draws xi then zeta from the run's streams, one block each as the main
+    draws one zeta and one xi block from the run's streams, as the main
     algorithm does, so robustness comparisons see identical noise."""
-    t = state.t
-    prob = state.problem
+    t, prob = state.t, state.problem
+    mixed = state.W.offdiag(_broadcasts(state, _draw_noise(state, TAG_ZETA, t), _draw_noise(state, TAG_XI, t)))
 
     direction = prob.eval_grad1_all(state.x, state.psi) + prob.apply_grad_g_all(state.x, state.y)
     x_next = prob.eval_project_all(state.x - lam * direction)
 
     g_new = prob.eval_g_all(x_next)
-    psi_next = _line7(state, g_new, 0.0, 1.0)
+    psi_next = _line7(state, mixed[1], g_new, 0.0, 1.0)
 
-    zeta = _draw_noise(state, TAG_ZETA, t)
     grad2_new = prob.eval_grad2_all(x_next, psi_next)
-    y_next = state.W.one_plus_diag * state.y + state.W.offdiag(state.y + zeta) + grad2_new - state.grad2_cache
+    y_next = state.W.one_plus_diag * state.y + mixed[0] + grad2_new - state.grad2_cache
 
+    state.gamma1_sum += state.schedules.gamma1.value(t)
     _commit(state, x_next, y_next, psi_next, g_new, grad2_new)
     return direction
 
@@ -220,7 +228,7 @@ def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
     if state.diverged_at is None:
         for arr in (x_next, y_next, psi_next):
             # NaN propagates through max and fails the comparison, as inf does
-            if not (np.abs(arr).max() <= DIVERGENCE_THRESHOLD):
+            if not (np.maximum.reduce(np.abs(arr), axis=None) <= DIVERGENCE_THRESHOLD):
                 state.diverged_at = state.t + 1
                 break
     state.x = x_next
@@ -229,7 +237,6 @@ def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
     state.g_cache = g_new
     if grad2_new is not None:
         state.grad2_cache = grad2_new
-    state.gamma1_sum += state.schedules.gamma1.value(state.t)
     state.t += 1
 
 
@@ -265,10 +272,11 @@ def run(
 
     F(x_t) and grad F(x_t) are evaluated per block of iterates: the rounds
     that need them (every round when ``track_weighted``, else the record
-    rounds) keep a reference to x_t, and every ``metrics_block(problem)``
-    of them are stacked and evaluated in one call each.  The block is then
-    walked in round order, so the weighted sums accumulate in the same order
-    and every record is the one a per-round evaluation gives."""
+    rounds) keep a reference to x_t and to the held g(x_t), and every
+    ``metrics_block(problem)`` of them are stacked and evaluated in one call
+    each.  The block is then walked in round order, so the weighted sums
+    accumulate in the same order and every record is the one a per-round
+    evaluation gives."""
     if T < 0:
         raise ValueError("T must be >= 0")
     if stepper == "alg1":
@@ -282,7 +290,7 @@ def run(
     lam = state.schedules.lam
     block = metrics_block(prob)
     records: list[MetricsRecord] = []
-    # (t, x_t, weighted, (psi_t, y_t, direction) on a record round else None)
+    # (t, x_t, g(x_t), weighted, (psi_t, y_t, direction) on a record round else None)
     pending: list[tuple] = []
     wsum = 0.0
     wgap = 0.0
@@ -290,10 +298,10 @@ def run(
     # with no oracle (nonconvex problems) there is no F* to measure a gap from
     f_star = oracle.F_star if oracle is not None else math.nan
 
-    def snapshot(t, x_now, psi_now, y_now, direction, fval, gradF, grad_sq):
-        """Metrics for the pre-step state (x_t, psi_t, y_t); direction is the
-        gradient estimate at x_t."""
-        phi = aggregate(prob, x_now)
+    def snapshot(t, x_now, g_now, psi_now, y_now, direction, fval, gradF, grad_sq):
+        """Metrics for the pre-step state (x_t, psi_t, y_t), with g_now = g(x_t);
+        direction is the gradient estimate at x_t."""
+        phi = g_now.mean(axis=0)
         err = float(((x_now - oracle.x_star) ** 2).sum()) if oracle is not None else math.nan
         psi_gap = psi_now - phi[None, :]
         y_gap = y_now - y_now.mean(axis=0)[None, :]
@@ -314,27 +322,28 @@ def run(
         nonlocal wsum, wgap, wgrad
         if not pending:
             return
-        xs = np.stack([x_t for _, x_t, _, _ in pending])
-        fvals = F_value(prob, xs)
-        grads = F_grad(prob, xs)
-        for (t, x_t, weighted, rec), fval, gradF in zip(pending, fvals, grads):
-            fval = float(fval)
-            grad_sq = float((gradF**2).sum())
+        xs = np.stack([x_t for _, x_t, _, _, _ in pending])
+        gs = np.stack([g_t for _, _, g_t, _, _ in pending])
+        fvals = F_value(prob, xs, gs).tolist()
+        grads = F_grad(prob, xs, gs)
+        grad_sqs = (grads**2).reshape(len(pending), -1).sum(axis=1).tolist()
+        for (t, x_t, g_t, weighted, rec), fval, gradF, grad_sq in zip(pending, fvals, grads, grad_sqs):
             if weighted:
                 lam_t = lam.value(t)
                 wsum += lam_t
                 wgap += lam_t * (fval - f_star)
                 wgrad += lam_t * grad_sq
             if rec is not None:
-                records.append(snapshot(t, x_t, *rec, fval, gradF, grad_sq))
+                records.append(snapshot(t, x_t, g_t, *rec, fval, gradF, grad_sq))
         pending.clear()
 
     for t_iter in range(T):
         record_now = (t_iter % stride == 0)
-        x_t, psi_t, y_t = state.x, state.psi, state.y  # step replaces these arrays, never writes into them
+        # step replaces these arrays, never writes into them
+        x_t, g_t, psi_t, y_t = state.x, state.g_cache, state.psi, state.y
         direction = advance(state)
         if record_now or track_weighted:
-            pending.append((t_iter, x_t, track_weighted, (psi_t, y_t, direction) if record_now else None))
+            pending.append((t_iter, x_t, g_t, track_weighted, (psi_t, y_t, direction) if record_now else None))
         if state.diverged_at is not None:
             break
         if len(pending) == block:
@@ -342,8 +351,8 @@ def run(
     if state.diverged_at is None:
         # terminal record at t = T; the gradient estimate uses a dry line-4
         # evaluation (the next zeta block, state not advanced)
-        direction = gradient_estimate(state, _line4(state)) if T > 0 else None
-        pending.append((state.t, state.x, False, (state.psi, state.y, direction)))
+        direction = _line4(state, state.schedules.gamma1.value(state.t))[1] if T > 0 else None
+        pending.append((state.t, state.x, state.g_cache, False, (state.psi, state.y, direction)))
     flush()
     if state.diverged_at is not None and records:
         # flagged and stopped: the log is partial by design

@@ -260,10 +260,12 @@ def perturb_spec(spec: EVChargingSpec, scenario: AdjacentScenario) -> EVCharging
     uniformly onto the post-pivot slots, preserving its total demand; all
     other rows are untouched."""
     d = spec.d.copy()
-    K = d.shape[1]
+    m, K = d.shape
     p = scenario.pivot_slot
     if not (0 < p < K):
         raise ValueError("pivot slot must split the horizon")
+    if max(scenario.agents) >= m:
+        raise ValueError(f"perturbed agent {max(scenario.agents)} is out of range for m={m} agents")
     for i in scenario.agents:
         moved = scenario.shift_fraction * d[i, :p].sum()
         d[i, :p] *= 1.0 - scenario.shift_fraction

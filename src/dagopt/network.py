@@ -161,14 +161,15 @@ class WeightMatrix:
         return A
 
     def offdiag(self, v: np.ndarray) -> np.ndarray:
-        """sum_{j != i} w_ij v_j for every agent i, from the (m, d) block v,
-        added slot by slot so that the summation order is fixed."""
-        terms = v.take(self._nbr, axis=0)
+        """sum_{j != i} w_ij v_j for every agent i, from v stacked (..., m, d):
+        a (k, m, d) stack of blocks is mixed in one pass.  The slots are added
+        in order, slot 0 first, so that the summation order is fixed and each
+        block gets the bits of its own (m, d) call."""
+        terms = v.take(self._nbr, axis=-2)  # (..., slots, m, d)
         terms *= self._wgt
-        acc = terms[0]
-        for k in range(1, len(terms)):
-            acc += terms[k]
-        return acc
+        # -0.0 + t is t for every t, a zero's sign included; a start from the
+        # add identity +0.0 would turn a sum of -0.0 terms into +0.0
+        return np.add.reduce(terms, axis=-3, initial=-0.0)
 
 
 def ring_topology(m: int) -> Topology:

@@ -100,25 +100,27 @@ class AggregativeProblem:
         return self.project_all(x)
 
 
-def aggregate(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
-    """phi(x) = (1/m) sum_i g_i(x^i); (..., m, n) -> (..., d)."""
-    return problem.eval_g_all(x).mean(axis=-2)
+def aggregate(problem: AggregativeProblem, x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """phi(x) = (1/m) sum_i g_i(x^i); (..., m, n) -> (..., d).  ``g``, when
+    given, is g(x) stacked like it, (..., m, d), and is not recomputed."""
+    return (problem.eval_g_all(x) if g is None else g).mean(axis=-2)
 
 
-def F_value(problem: AggregativeProblem, x: np.ndarray) -> float | np.ndarray:
+def F_value(problem: AggregativeProblem, x: np.ndarray, g: np.ndarray | None = None) -> float | np.ndarray:
     """F(x) = sum_i f_i(x^i, phi(x)): a float for one (m, n) iterate, a
-    (B,) array for a (B, m, n) stack."""
-    psi = aggregate(problem, x)[..., None, :]
+    (B,) array for a (B, m, n) stack; ``g`` as in ``aggregate``."""
+    psi = aggregate(problem, x, g)[..., None, :]
     vals = problem.eval_f_all(x, psi).sum(axis=-1)
     return float(vals) if vals.ndim == 0 else vals
 
 
-def F_grad(problem: AggregativeProblem, x: np.ndarray) -> np.ndarray:
+def F_grad(problem: AggregativeProblem, x: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """Full-information gradient of F, stacked like x: (..., m, n).
 
-    grad F(x)^i = grad1_f_i(x^i, phi) + grad_g_i(x^i) @ mean_j grad2_f_j(x^j, phi).
+    grad F(x)^i = grad1_f_i(x^i, phi) + grad_g_i(x^i) @ mean_j grad2_f_j(x^j, phi);
+    ``g`` as in ``aggregate``.
     """
-    psi = aggregate(problem, x)[..., None, :]
+    psi = aggregate(problem, x, g)[..., None, :]
     g2bar = problem.eval_grad2_all(x, psi).mean(axis=-2, keepdims=True)
     g2bar = np.broadcast_to(g2bar, x.shape[:-1] + g2bar.shape[-1:])  # to every agent's row
     return problem.eval_grad1_all(x, psi) + problem.apply_grad_g_all(x, g2bar)

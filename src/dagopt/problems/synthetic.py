@@ -43,8 +43,12 @@ class SyntheticData:
     psi_lo: np.ndarray  # (d,)
     psi_hi: np.ndarray
 
+    # The kernels clamp with np.minimum(np.maximum(...)), two ufunc calls
+    # against np.clip's heavier dispatch.  The bits are np.clip's because no
+    # bound here is 0: clip(-0.0, 0.0, 1.0) is -0.0, maximum(-0.0, 0.0) is +0.0.
+
     def f_quadratic(self, x, psi):
-        r = np.clip(psi, self.psi_lo, self.psi_hi) - self.b
+        r = np.minimum(np.maximum(psi, self.psi_lo), self.psi_hi) - self.b
         dx = x - self.a
         return 0.5 * np.einsum("...in,...in->...i", dx, dx) + 0.5 * np.einsum("...id,...id->...i", r, r)
 
@@ -52,7 +56,7 @@ class SyntheticData:
         return x - self.a
 
     def f_linear(self, x, psi):
-        r = np.clip(psi, self.psi_lo, self.psi_hi) - self.b
+        r = np.minimum(np.maximum(psi, self.psi_lo), self.psi_hi) - self.b
         return np.einsum("in,...in->...i", self.q, x) + 0.5 * np.einsum("...id,...id->...i", r, r)
 
     def grad1_linear(self, x, psi):
@@ -65,7 +69,8 @@ class SyntheticData:
         return np.broadcast_to(self.q, x.shape) + self.kappa * np.cos(x)
 
     def grad2_all(self, x, psi):
-        return (np.clip(psi, self.psi_lo, self.psi_hi) - self.b) * ((psi > self.psi_lo) & (psi < self.psi_hi))
+        lo, hi = self.psi_lo, self.psi_hi
+        return (np.minimum(np.maximum(psi, lo), hi) - self.b) * ((psi > lo) & (psi < hi))
 
     def g_all(self, x):
         return np.einsum("idn,...in->...id", self.A, x) + self.c
@@ -74,7 +79,7 @@ class SyntheticData:
         return np.einsum("idn,...id->...in", self.A, v)
 
     def project_all(self, x):
-        return np.clip(x, -1.0, 1.0)
+        return np.minimum(np.maximum(x, -1.0), 1.0)
 
     def interior_check(self, x, h):
         return np.abs(x) <= 1.0 - h

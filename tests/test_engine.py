@@ -1,11 +1,13 @@
 """Synchronous-round integrator: update order, exact identities, determinism."""
 
+import copy
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from test_network import neighbour_loop, weight_matrix_from_dense
+from test_network import neighbour_loop, slot_loop, weight_matrix_from_dense
 from test_problems import legacy_project_box_budget_batch
 from test_schedules import ball_radius
 
@@ -121,7 +123,7 @@ class TestGradientEstimate:
         st.psi = np.repeat(phi[None, :], prob.m, axis=0)
         g2bar = prob.eval_grad2_all(st.x, st.psi).mean(axis=0)
         y_next = st.y + sch.gamma1.value(st.t) * np.repeat(g2bar[None, :], prob.m, axis=0)
-        est = engine.gradient_estimate(st, y_next)
+        est = engine.gradient_estimate(st, y_next, sch.gamma1.value(st.t))
         assert np.allclose(est, F_grad(prob, st.x), atol=1e-9)
 
     def test_tiny_gamma_no_overflow(self):
@@ -139,7 +141,7 @@ class TestGradientEstimate:
             xi=sch0.xi,
         )
         st = engine.init_run(prob, W, sch, seed=0, noise_enabled=False)
-        est = engine.gradient_estimate(st, st.y)  # zero increment
+        est = engine.gradient_estimate(st, st.y, sch.gamma1.value(st.t))  # zero increment
         assert np.all(np.isfinite(est))
 
 
@@ -335,10 +337,101 @@ def test_rounds_bit_identical_to_reference_loop(stepper):
     assert rounds == 20 and state.diverged_at is None
 
 
-def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=0.01, track_weighted=True):
+def legacy_draw_noise(state, tag, t):
+    if state.streams is None:
+        return np.zeros((state.problem.m, state.problem.d))
+    profile = state.schedules.zeta if tag == TAG_ZETA else state.schedules.xi
+    return noise_vector(state.streams[tag], profile.value(t))
+
+
+def legacy_project_ball(points, radius):
+    norms = np.linalg.norm(points, axis=1)
+    factor = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    return points * factor[:, None]
+
+
+def legacy_gradient_estimate(state, y_next):
+    gamma1_t = state.schedules.gamma1.value(state.t)
+    inv = 1.0 / max(gamma1_t, 1e-300)
+    incr = (y_next - state.y) * inv
+    return state.problem.eval_grad1_all(state.x, state.psi) + state.problem.apply_grad_g_all(state.x, incr)
+
+
+def legacy_line4(state):
+    t = state.t
+    gamma1_t = state.schedules.gamma1.value(t)
+    radius = (1.0 + state.gamma1_sum) * state.problem.constants.L_f2
+    zeta = legacy_draw_noise(state, TAG_ZETA, t)
+    shared = legacy_project_ball(state.y + zeta, radius)
+    grad2 = state.problem.eval_grad2_all(state.x, state.psi)
+    return state.W.one_plus_diag * state.y + slot_loop(state.W, shared) + gamma1_t * grad2
+
+
+def legacy_line7(state, g_new, alpha_t, gamma2_t):
+    xi = legacy_draw_noise(state, TAG_XI, state.t)
+    return (
+        (1.0 - alpha_t + gamma2_t * state.W.diag) * state.psi
+        + gamma2_t * slot_loop(state.W, state.psi + xi)
+        + g_new
+        - (1.0 - alpha_t) * state.g_cache
+    )
+
+
+def legacy_step(state):
+    """``engine.step`` as first written, kept as its bit-for-bit reference:
+    each tag is drawn where its line reads it, each tracker is mixed by its
+    own slot loop, the ball's factor is always applied, and each schedule
+    value is evaluated where it is used."""
+    sched = state.schedules
+    lam_t = sched.lam.value(state.t)
+    y_next = legacy_line4(state)
+    direction = legacy_gradient_estimate(state, y_next)
+    x_next = state.problem.eval_project_all(state.x - lam_t * direction)
+    g_new = state.problem.eval_g_all(x_next)
+    psi_next = legacy_line7(state, g_new, sched.alpha.value(state.t), sched.gamma2.value(state.t))
+    legacy_commit(state, x_next, y_next, psi_next, g_new)
+    return direction
+
+
+def legacy_step_baseline(state, lam=0.01):
+    """``engine.step_baseline`` as first written (xi drawn before zeta)."""
+    t = state.t
+    prob = state.problem
+    direction = prob.eval_grad1_all(state.x, state.psi) + prob.apply_grad_g_all(state.x, state.y)
+    x_next = prob.eval_project_all(state.x - lam * direction)
+    g_new = prob.eval_g_all(x_next)
+    psi_next = legacy_line7(state, g_new, 0.0, 1.0)
+    zeta = legacy_draw_noise(state, TAG_ZETA, t)
+    grad2_new = prob.eval_grad2_all(x_next, psi_next)
+    y_next = state.W.one_plus_diag * state.y + slot_loop(state.W, state.y + zeta) + grad2_new - state.grad2_cache
+    legacy_commit(state, x_next, y_next, psi_next, g_new, grad2_new)
+    return direction
+
+
+def legacy_commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
+    if state.diverged_at is None:
+        for arr in (x_next, y_next, psi_next):
+            if not (np.abs(arr).max() <= engine.DIVERGENCE_THRESHOLD):
+                state.diverged_at = state.t + 1
+                break
+    state.x = x_next
+    state.y = y_next
+    state.psi = psi_next
+    state.g_cache = g_new
+    if grad2_new is not None:
+        state.grad2_cache = grad2_new
+    state.gamma1_sum += state.schedules.gamma1.value(state.t)
+    state.t += 1
+
+
+def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=0.01, track_weighted=True,
+               steppers=None):
     """The per-round loop that ``engine.run`` replaced, kept as its
     bit-for-bit reference: F(x_t) and grad F(x_t) are evaluated on every
-    round that needs them, one (m, n) iterate at a time."""
+    round that needs them, one (m, n) iterate at a time, from x_t alone.
+    ``steppers`` is the (alg1, baseline) pair it advances with, by default
+    the engine's; the terminal record's dry line 4 is ``legacy_line4``."""
+    step, step_baseline = steppers or (engine.step, engine.step_baseline)
     prob = state.problem
     records = []
     wsum = wgap = wgrad = 0.0
@@ -375,9 +468,9 @@ def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=
             wgap += lam_t * (fval - f_star)
             wgrad += lam_t * float((gradF**2).sum())
         if stepper == "alg1":
-            direction = engine.step(state)
+            direction = step(state)
         else:
-            direction = engine.step_baseline(state, lam=baseline_lambda)
+            direction = step_baseline(state, lam=baseline_lambda)
         if record_now:
             records.append(snapshot(t_iter, *pre, fval, gradF, direction))
         if state.diverged_at is not None:
@@ -387,7 +480,7 @@ def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=
     if state.diverged_at is None:
         fval = F_value(prob, state.x)
         gradF = F_grad(prob, state.x)
-        direction = engine.gradient_estimate(state, engine._line4(state)) if T > 0 else None
+        direction = legacy_gradient_estimate(state, legacy_line4(state)) if T > 0 else None
         records.append(snapshot(state.t, state.x, state.psi, state.y, fval, gradF, direction))
     return engine.RunResult(
         records=records,
@@ -491,3 +584,61 @@ class TestBlockedMetrics:
         assert [r.t for r in blocked.records] == list(range(0, blow_up_at + 1, 3))
         assert [r.diverged for r in blocked.records] == [False] * (len(blocked.records) - 1) + [True]
         assert_same_run(blocked, legacy)
+
+
+def ball_binds(state):
+    """Whether line 4's ball rescales a row in the state's next round, read
+    from a copy of its zeta stream."""
+    zeta = np.zeros(state.y.shape)
+    if state.streams is not None:
+        zeta = noise_vector(copy.deepcopy(state.streams[TAG_ZETA]), state.schedules.zeta.value(state.t))
+    radius = (1.0 + state.gamma1_sum) * state.problem.constants.L_f2
+    return bool(np.linalg.norm(state.y + zeta, axis=1).max() > radius)
+
+
+def stream_positions(state):
+    if state.streams is None:
+        return None
+    return [(stream._next, repr(stream.rng.bit_generator.state)) for stream in state.streams]
+
+
+class TestLegacyRound:
+    """Both steppers equal ``legacy_step`` / ``legacy_step_baseline`` byte
+    for byte, round by round; then a run's records, the terminal record's
+    dry line 4 included, equal ``legacy_run`` on the legacy steppers, and
+    both runs leave their noise streams at the same positions."""
+
+    M, ROUNDS = 10, 120
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        sc = synthetic_problem("strongly-convex", self.M, 13, 13, seed=0)
+        ev = ev_problem(desk_ev_spec(self.M))
+        # a radius far below the trackers' norms, so that the ball binds
+        small = dataclasses.replace(ev, constants=dataclasses.replace(ev.constants, L_f2=1e-3 * ev.constants.L_f2))
+        return {"strongly-convex": sc, "ev": ev, "ev-ball-binds": small}
+
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("stepper", ["alg1", "baseline"])
+    @pytest.mark.parametrize("kind", ["strongly-convex", "ev", "ev-ball-binds"])
+    def test_equals_legacy_step(self, problems, kind, stepper, noise):
+        W = build_weight_matrix(generate_k_regular(self.M, 4, seed=0), 0.12)
+        sch = build_schedules(default_config())
+        new, old = (engine.init_run(problems[kind], W, sch, seed=6, noise_enabled=noise) for _ in range(2))
+        if stepper == "alg1":
+            advance, reference = engine.step, legacy_step
+        else:
+            advance, reference = partial(engine.step_baseline, lam=0.05), partial(legacy_step_baseline, lam=0.05)
+        binds = 0
+        for _ in range(self.ROUNDS):
+            binds += ball_binds(new)
+            assert advance(new).tobytes() == reference(old).tobytes(), new.t
+            for name in ("x", "y", "psi", "g_cache", "grad2_cache"):
+                assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), (new.t, name)
+            assert (new.t, new.gamma1_sum, new.diverged_at) == (old.t, old.gamma1_sum, old.diverged_at)
+        # the rescale is skipped in every round but the shrunk radius's
+        assert binds == (self.ROUNDS if kind == "ev-ball-binds" else 0)
+        kwargs = dict(T=7, stride=3, stepper=stepper, baseline_lambda=0.05)
+        assert_same_run(engine.run(new, **kwargs), legacy_run(old, steppers=(legacy_step, legacy_step_baseline), **kwargs))
+        assert new.t == old.t == self.ROUNDS + 7
+        assert stream_positions(new) == stream_positions(old)

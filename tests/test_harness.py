@@ -188,6 +188,11 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="non-negative"):
             AdjacentScenario(agents=(-1,), shift_fraction=0.4, pivot_slot=3)
 
+    def test_agent_beyond_m_rejected(self):
+        # the scenario does not know m; the spec it perturbs does
+        with pytest.raises(ValueError, match=r"agent 20 is out of range for m=20"):
+            perturb_spec(desk_ev_spec(20), AdjacentScenario(agents=(20,), shift_fraction=0.4, pivot_slot=3))
+
 
 class TestTruthfulnessPlumbing:
     def test_identical_problems_give_zero_gain(self):

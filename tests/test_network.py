@@ -36,6 +36,18 @@ def neighbour_loop(A, v):
     return out
 
 
+def slot_loop(W, v):
+    """sum_{j != i} w_ij v_j from one (m, d) block, the padded table's slots
+    added one at a time, slot 0 first: the order ``WeightMatrix.offdiag``
+    fixes, padded slots (0 * v_i, maybe -0.0) included."""
+    terms = v.take(W._nbr, axis=0)
+    terms *= W._wgt
+    acc = terms[0]
+    for k in range(1, len(terms)):
+        acc += terms[k]
+    return acc
+
+
 def legacy_generate_k_regular(m, k, seed):
     """The pairing model one pair at a time: the reference for
     ``generate_k_regular``'s array-based rejection, drawing the same shuffles."""
@@ -308,6 +320,30 @@ class TestEdgeMixing:
         W = weight_matrix_from_dense(np.zeros((1, 1)))
         out = W.offdiag(np.ones((1, 4)))
         assert out.shape == (1, 4) and not out.any()
+
+    STACKED = {
+        "4-regular-m10": lambda: build_weight_matrix(generate_k_regular(10, 4, seed=0), 0.12),
+        "4-regular-m1000": lambda: build_weight_matrix(generate_k_regular(1000, 4, seed=0), 0.12),
+        "ring-m9": lambda: build_weight_matrix(ring_topology(9), 0.2),
+        "star-m12": lambda: build_weight_matrix(_star(12), 0.05),
+        "single-agent": lambda: weight_matrix_from_dense(np.zeros((1, 1))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STACKED))
+    def test_stack_equals_one_call_per_block(self, case):
+        # the engine mixes both trackers as one (2, m, d) stack; zeros of both
+        # signs make a sum of padded slots (0 * v_i) keep or lose its -0.0
+        W = self.STACKED[case]()
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((2, W.m, 13))
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+        out = W.offdiag(v)
+        assert out.shape == v.shape
+        for block, mixed in zip(v, out):
+            assert mixed.tobytes() == W.offdiag(block).tobytes()
+            assert mixed.tobytes() == slot_loop(W, block).tobytes()
+            assert np.array_equal(mixed, neighbour_loop(W.matrix, block))  # equal up to the sign of a zero
 
     def test_diagonal_columns(self):
         W = build_weight_matrix(ring_topology(8), 0.2)
