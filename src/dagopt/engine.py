@@ -24,14 +24,18 @@ a block does not depend on how many rounds a refill holds.
 Both sent blocks [P_Omega(y + zeta), psi + xi] are mixed as one (2, m, d)
 stack in one ``WeightMatrix.offdiag`` pass, and each schedule value is
 evaluated once per round.  The terminal record's dry line 4 is the same
-``_line4`` on the next zeta block alone.
+``_line4`` on the next zeta block alone.  At small m a round costs its numpy
+calls' fixed overhead, so the round makes few: the run state holds w_ii and
+1 + w_ii as (m, d) rows, the ball is tested on the largest squared row norm,
+and reductions are ufunc calls, not ndarray method wrappers.
 
 ``run`` evaluates F(x_t) and grad F(x_t), which the records and the
 lambda-weighted averages need, once per block of iterates rather than once
 per round: it keeps a reference to each pre-step x_t and to the held g(x_t),
 whose mean is phi(x_t) (``step`` replaces the state's arrays and never writes
-into them), and stacks a block of B of them into one call.  B is bounded by
-METRICS_BLOCK_ELEMENTS, so a block costs memory only where m is small.
+into them), and stacks a block of B of them into one call; its weighted sums
+are one ``np.add.accumulate`` and each record field one reduction.  B is
+bounded by METRICS_BLOCK_ELEMENTS, so a block costs memory only where m is small.
 
 The conventional gradient-tracking baseline (step_baseline) mixes with
 A = I + W, feeds y directly into the decision update, uses a constant
@@ -56,7 +60,7 @@ DIVERGENCE_THRESHOLD = 1e12
 X0_POLICIES = ("project-zero", "random-feasible")
 # Bound on the elements of one stacked block of iterates, B * m * max(n, d),
 # that `run` evaluates F and grad F on in one call (see `metrics_block`).
-METRICS_BLOCK_ELEMENTS = 4096
+METRICS_BLOCK_ELEMENTS = 16384
 
 
 @dataclass
@@ -71,6 +75,10 @@ class RunState:
     psi: np.ndarray  # (m, d)
     g_cache: np.ndarray  # g(x_t), (m, d)
     gamma1_sum: float = 0.0  # sum_{p<t} gamma_{p,1}: line 4's ball radius is (1 + gamma1_sum) * L_f2
+    # W.diag and 1 + W.diag repeated into (m, d) rows, so that lines 4 and 7
+    # multiply same-shape operands; built once per run by init_run
+    w_diag: np.ndarray = None
+    one_plus_w_diag: np.ndarray = None
     grad2_cache: np.ndarray = None  # used by the baseline stepper only
     diverged_at: int | None = None
 
@@ -125,6 +133,8 @@ def init_run(
         y=y0,
         psi=psi0.copy(),
         g_cache=psi0.copy(),
+        w_diag=np.repeat(W.diag, problem.d, axis=1),
+        one_plus_w_diag=np.repeat(W.one_plus_diag, problem.d, axis=1),
         grad2_cache=y0.copy(),
     )
 
@@ -139,9 +149,12 @@ def _draw_noise(state: RunState, tag: int, t: int) -> np.ndarray:
 
 
 def _project_ball(points: np.ndarray, radius: float) -> None:
-    """Rescale in place the rows outside the ball; skipped when none is, as every factor would be 1.0."""
-    norms = np.sqrt(np.add.reduce(points * points, axis=1))  # np.linalg.norm's bits in fewer calls
-    if not norms.max() <= radius:
+    """Rescale in place the rows outside the ball; skipped when none is, as every factor would be 1.0.
+    sqrt is monotone and correctly rounded, so the test's sqrt(max_i ||row_i||^2) is the largest row
+    norm; a NaN row fails the test and takes the full path."""
+    sq_norms = np.add.reduce(points * points, axis=1)
+    if not math.sqrt(np.maximum.reduce(sq_norms)) <= radius:
+        norms = np.sqrt(sq_norms)  # np.linalg.norm's bits in fewer calls
         points *= np.minimum(1.0, radius / np.maximum(norms, 1e-300))[:, None]
 
 
@@ -168,7 +181,7 @@ def _line4(state: RunState, gamma1_t: float, xi: np.ndarray | None = None):
     _project_ball(sent[0], (1.0 + state.gamma1_sum) * state.problem.constants.L_f2)
     mixed = state.W.offdiag(sent)
     grad2 = state.problem.eval_grad2_all(state.x, state.psi)
-    y_next = state.W.one_plus_diag * state.y + mixed[0] + gamma1_t * grad2
+    y_next = state.one_plus_w_diag * state.y + mixed[0] + gamma1_t * grad2
     return y_next, gradient_estimate(state, y_next, gamma1_t), mixed
 
 
@@ -177,7 +190,7 @@ def _line7(state: RunState, mixed_psi: np.ndarray, g_new: np.ndarray, alpha_t: f
     g(x_{t+1}).  alpha_t = 0, gamma2_t = 1 gives the conventional tracker's
     update bit for bit (exact multiplications by 1 and subtractions of 0)."""
     return (
-        (1.0 - alpha_t + gamma2_t * state.W.diag) * state.psi
+        (1.0 - alpha_t + gamma2_t * state.w_diag) * state.psi
         + gamma2_t * mixed_psi
         + g_new
         - (1.0 - alpha_t) * state.g_cache
@@ -217,7 +230,7 @@ def step_baseline(state: RunState, lam: float = 0.01) -> np.ndarray:
     psi_next = _line7(state, mixed[1], g_new, 0.0, 1.0)
 
     grad2_new = prob.eval_grad2_all(x_next, psi_next)
-    y_next = state.W.one_plus_diag * state.y + mixed[0] + grad2_new - state.grad2_cache
+    y_next = state.one_plus_w_diag * state.y + mixed[0] + grad2_new - state.grad2_cache
 
     state.gamma1_sum += state.schedules.gamma1.value(t)
     _commit(state, x_next, y_next, psi_next, g_new, grad2_new)
@@ -243,7 +256,7 @@ def _commit(state, x_next, y_next, psi_next, g_new, grad2_new=None):
 def metrics_block(problem: AggregativeProblem) -> int:
     """Iterates per metrics evaluation in `run`: as many as keep a block's
     (B, m, max(n, d)) arrays within METRICS_BLOCK_ELEMENTS, and at least one.
-    31 at m = 10, n = d = 13; 1 from m = 316 up."""
+    At max(n, d) = 13: 126 at m = 10, 1 from m = 631 up."""
     return max(1, METRICS_BLOCK_ELEMENTS // (problem.m * max(problem.n, problem.d)))
 
 
@@ -274,11 +287,12 @@ def run(
     that need them (every round when ``track_weighted``, else the record
     rounds) keep a reference to x_t and to the held g(x_t), and every
     ``metrics_block(problem)`` of them are stacked and evaluated in one call
-    each.  The block is then walked in round order, so the weighted sums
-    accumulate in the same order and every record is the one a per-round
-    evaluation gives."""
+    each.  The weighted sums are then accumulated in round order, and every
+    record is the one a per-round evaluation gives."""
     if T < 0:
         raise ValueError("T must be >= 0")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     if stepper == "alg1":
         advance = step
     elif stepper == "baseline":
@@ -287,6 +301,7 @@ def run(
     else:
         raise ValueError(f"unknown stepper {stepper!r}")
     prob = state.problem
+    m, n, d = prob.m, prob.n, prob.d
     lam = state.schedules.lam
     block = metrics_block(prob)
     records: list[MetricsRecord] = []
@@ -298,44 +313,55 @@ def run(
     # with no oracle (nonconvex problems) there is no F* to measure a gap from
     f_star = oracle.F_star if oracle is not None else math.nan
 
-    def snapshot(t, x_now, g_now, psi_now, y_now, direction, fval, gradF, grad_sq):
-        """Metrics for the pre-step state (x_t, psi_t, y_t), with g_now = g(x_t);
-        direction is the gradient estimate at x_t."""
-        phi = g_now.mean(axis=0)
-        err = float(((x_now - oracle.x_star) ** 2).sum()) if oracle is not None else math.nan
-        psi_gap = psi_now - phi[None, :]
-        y_gap = y_now - y_now.mean(axis=0)[None, :]
-        ge = float(((direction - gradF) ** 2).sum()) if direction is not None else 0.0
-        return MetricsRecord(
-            t=t,
-            err_x=err,
-            gap_F=fval - f_star,
-            grad_norm_sq=grad_sq,
-            psi_consensus=float((psi_gap**2).sum()),
-            y_consensus=float((y_gap**2).sum()),
-            grad_est_err=ge,
-            weighted_avg_gap=(wgap / wsum) if wsum > 0 else fval - f_star,
-            weighted_avg_grad=(wgrad / wsum) if wsum > 0 else grad_sq,
-        )
-
     def flush():
         nonlocal wsum, wgap, wgrad
         if not pending:
             return
-        xs = np.stack([x_t for _, x_t, _, _, _ in pending])
-        gs = np.stack([g_t for _, _, g_t, _, _ in pending])
-        fvals = F_value(prob, xs, gs).tolist()
-        grads = F_grad(prob, xs, gs)
-        grad_sqs = (grads**2).reshape(len(pending), -1).sum(axis=1).tolist()
-        for (t, x_t, g_t, weighted, rec), fval, gradF, grad_sq in zip(pending, fvals, grads, grad_sqs):
-            if weighted:
-                lam_t = lam.value(t)
-                wsum += lam_t
-                wgap += lam_t * (fval - f_star)
-                wgrad += lam_t * grad_sq
-            if rec is not None:
-                records.append(snapshot(t, x_t, g_t, *rec, fval, gradF, grad_sq))
+        B = len(pending)
+        ts, xl, gl, weighted, recs = zip(*pending)
         pending.clear()
+        xs = np.concatenate(xl).reshape(B, m, n)
+        gs = np.concatenate(gl).reshape(B, m, d)
+        gaps = F_value(prob, xs, gs) - f_star
+        grads = F_grad(prob, xs, gs)
+        grad_sqs = np.add.reduce((grads * grads).reshape(B, -1), axis=1)
+        # Column k holds (wsum, wgap, wgrad) after the block's first k weighted
+        # rounds.  The weighted rounds come first (only the terminal round is
+        # not), and a round that is not weighted adds nothing.  accumulate adds
+        # in sequence, so each column has the bits of the per-round +=.
+        nw = sum(weighted)
+        sums = np.empty((3, nw + 1))
+        sums[:, 0] = wsum, wgap, wgrad
+        if nw:
+            sums[0, 1:] = [lam.value(t) for t in ts[:nw]]
+            np.multiply(sums[0, 1:], gaps[:nw], out=sums[1, 1:])
+            np.multiply(sums[0, 1:], grad_sqs[:nw], out=sums[2, 1:])
+            np.add.accumulate(sums, axis=1, out=sums)
+        cols = sums.T.tolist()
+        wsum, wgap, wgrad = cols[-1]
+        rows = [i for i, rec in enumerate(recs) if rec is not None]
+        if not rows:
+            return
+        R = len(rows)
+
+        def sq_norms(a):  # each record's sum of squares, the bits of its own (m, .) .sum()
+            return np.add.reduce((a * a).reshape(R, -1), axis=1).tolist()
+
+        psis, ys, dirs = zip(*(recs[i] for i in rows))
+        psis = np.concatenate(psis).reshape(R, m, d)
+        ys = np.concatenate(ys).reshape(R, m, d)
+        err = sq_norms(xs[rows] - oracle.x_star) if oracle is not None else [math.nan] * R
+        psi_c = sq_norms(psis - gs[rows].mean(axis=1, keepdims=True))
+        y_c = sq_norms(ys - ys.mean(axis=1, keepdims=True))
+        # no direction only for T = 0, whose one record is the terminal one
+        ge = sq_norms(np.concatenate(dirs).reshape(R, m, n) - grads[rows]) if dirs[-1] is not None else [0.0]
+        gaps, grad_sqs = gaps.tolist(), grad_sqs.tolist()
+        for k, i in enumerate(rows):
+            ws, wg, wgr = cols[min(i + 1, nw)]
+            records.append(MetricsRecord(
+                t=ts[i], err_x=err[k], gap_F=gaps[i], grad_norm_sq=grad_sqs[i], psi_consensus=psi_c[k],
+                y_consensus=y_c[k], grad_est_err=ge[k], weighted_avg_gap=(wg / ws) if ws > 0 else gaps[i],
+                weighted_avg_grad=(wgr / ws) if ws > 0 else grad_sqs[i]))
 
     for t_iter in range(T):
         record_now = (t_iter % stride == 0)

@@ -71,7 +71,7 @@ class BoxBudgetProjection:
         hit = False
         if j is not None:
             bp_lo, bp_hi, m_lo, m_hi = masses(j)
-            hit = (((j == 0) | (m_lo > E)) & (m_hi <= E)).all()
+            hit = np.logical_and.reduce(((j == 0) | (m_lo > E)) & (m_hi <= E))
         if not hit:
             # j = number of breakpoints with mass > E.  The mass at the last
             # breakpoint (the largest point) is 0 <= E, so j < 2K, and a
@@ -90,13 +90,13 @@ class BoxBudgetProjection:
         out = (points - theta[:, None]).clip(0.0, x_max)
         # the clip keeps the box exact; polish the equality to 1e-10 by nudging
         # the strictly interior coordinates of each row uniformly
-        gap = E - out.sum(axis=1)
+        gap = E - np.add.reduce(out, axis=1)
         big = np.abs(gap) > 1e-13
-        if big.any():
+        if np.logical_or.reduce(big):
             free = (out > 0) & (out < x_max)
-            nfree = free.sum(axis=1)
+            nfree = np.add.reduce(free, axis=1)
             polish = big & (nfree > 0)
-            if polish.any():
+            if np.logical_or.reduce(polish):
                 nudge = free & polish[:, None]
                 out = np.where(nudge, out + (gap / np.maximum(nfree, 1))[:, None], out).clip(0.0, x_max)
         return out

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 from test_network import neighbour_loop, slot_loop, weight_matrix_from_dense
 from test_problems import legacy_project_box_budget_batch
 from test_schedules import ball_radius
@@ -162,6 +164,13 @@ class TestRun:
         ra = engine.run(a, T=50, stride=5)
         rb = engine.run(b, T=50, stride=5)
         assert _records_csv(ra.records) == _records_csv(rb.records)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_stride_below_one_rejected(self, stride):
+        # stride = 0 divided by zero and stride = -3 recorded t = 0, 3, 6, 7
+        _, _, _, st = small_setup()
+        with pytest.raises(ValueError, match="stride"):
+            engine.run(st, T=7, stride=stride)
 
     def test_divergence_flagged_not_raised(self):
         _, _, _, st = small_setup(noise=True)
@@ -348,6 +357,48 @@ def legacy_project_ball(points, radius):
     norms = np.linalg.norm(points, axis=1)
     factor = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return points * factor[:, None]
+
+
+class TestProjectBall:
+    """``_project_ball`` tests the ball as sqrt(max_i ||row_i||^2) <= radius and
+    rescales only when that fails; in both cases the stack it leaves in place
+    has the bits of the unconditional rescale ``legacy_project_ball``."""
+
+    @staticmethod
+    def check(points, radius):
+        with np.errstate(invalid="ignore"):  # an inf row's factor is 0, and inf * 0 is NaN
+            expected = legacy_project_ball(points, radius).tobytes()
+            engine._project_ball(points, radius)
+        assert points.tobytes() == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 1000])
+    def test_random_stacks(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(200):
+            points = rng.standard_normal((m, 13)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+            points[rng.random(points.shape) < 0.05] *= -0.0
+            norms = np.linalg.norm(points, axis=1)
+            # a radius below, at, between and above the row norms
+            radius = float(rng.choice([norms.min() * 0.5, norms.max(), np.median(norms), norms.max() * 2]))
+            self.check(points, radius)
+
+    def test_row_exactly_at_the_radius_is_kept(self):
+        rng = np.random.default_rng(1)
+        points = rng.standard_normal((10, 13))
+        radius = float(np.linalg.norm(points, axis=1).max())
+        before = points.tobytes()
+        self.check(points, radius)
+        assert points.tobytes() == before  # every factor is min(1, radius / norm) = 1.0
+
+    @pytest.mark.parametrize("m", [1, 10])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rows_take_the_full_path(self, m, value):
+        rng = np.random.default_rng(2)
+        for row in range(m):
+            points = rng.standard_normal((m, 13))
+            points[row, rng.integers(13)] = value
+            self.check(points, 1e9)  # every finite row lies inside the ball
+            assert np.isnan(points[row]).any()  # inf * 0 and NaN * factor are NaN
 
 
 def legacy_gradient_estimate(state, y_next):
@@ -537,14 +588,27 @@ class TestBlockedMetrics:
 
     def test_block_size_under_the_element_bound(self, instances):
         prob = instances["strongly-convex"][0]
-        assert engine.metrics_block(prob) == 31
-        assert engine.metrics_block(ev_problem(desk_ev_spec(316))) == 1
-        assert engine.metrics_block(ev_problem(desk_ev_spec(315))) == 1
-        assert engine.metrics_block(ev_problem(desk_ev_spec(157))) == 2
+        assert engine.metrics_block(prob) == 126
+        # 16,384 elements over m * 13: B = 1 from m = 631 up, and still 1 past m * 13 > 16,384
+        assert engine.metrics_block(ev_problem(desk_ev_spec(1261))) == 1
+        assert engine.metrics_block(ev_problem(desk_ev_spec(1000))) == 1
+        assert engine.metrics_block(ev_problem(desk_ev_spec(631))) == 1
+        assert engine.metrics_block(ev_problem(desk_ev_spec(630))) == 2
 
-    @pytest.mark.parametrize("T, stride", [(100, 7), (20, 1), (0, 1), (62, 1), (93, 31), (62, 5)])
+    # The block is 126 iterates here.  T = 300 is not a multiple of it; at
+    # stride 7 both block boundaries (t = 126 and 252) are record rounds; at
+    # T = 252 the terminal record is a block of its own.
+    @pytest.mark.parametrize("T, stride", [(100, 7), (20, 1), (0, 1), (62, 1), (93, 31), (62, 5),
+                                           (300, 7), (300, 1), (252, 63), (127, 126)])
     def test_records_equal_the_per_round_loop(self, instances, T, stride):
         assert_same_run(*self.both(instances, T=T, stride=stride))
+
+    @pytest.mark.parametrize("T, stride", [(300, 1), (300, 7)])
+    def test_unweighted_run_across_blocks(self, instances, T, stride):
+        # without weighting a block holds only record rounds: 126 of them at stride 1
+        blocked, legacy = self.both(instances, T=T, stride=stride, track_weighted=False)
+        assert math.isnan(blocked.weighted_avg_gap)
+        assert_same_run(blocked, legacy)
 
     def test_unweighted_run_with_stride_T(self, instances):
         # the truthfulness experiment's call: records at t = 0 and t = T only
@@ -559,7 +623,7 @@ class TestBlockedMetrics:
     def test_ev_instance(self, instances, stepper):
         # F and grad F take phi as one row per iterate, priced once per slot
         blocked, legacy = self.both(instances, kind="ev", T=100, stride=7, stepper=stepper)
-        assert engine.metrics_block(instances["ev"][0]) == 31
+        assert engine.metrics_block(instances["ev"][0]) == 126
         assert_same_run(blocked, legacy)
 
     def test_nonconvex_without_oracle(self, instances):
@@ -567,10 +631,11 @@ class TestBlockedMetrics:
         assert math.isnan(blocked.records[-1].gap_F) and math.isnan(blocked.weighted_avg_gap)
         assert_same_run(blocked, legacy)
 
-    @pytest.mark.parametrize("blow_up_at", [40, 42])
+    @pytest.mark.parametrize("blow_up_at", [40, 42, 170, 171])
     def test_divergence_mid_block(self, instances, monkeypatch, blow_up_at):
-        # round blow_up_at starts from an exploded tracker; round 40 is not a
-        # record round at stride 3, round 42 is
+        # round blow_up_at starts from an exploded tracker; rounds 40 and 170
+        # are not record rounds at stride 3, rounds 42 and 171 are; 170 and
+        # 171 lie inside the second block of 126
         real_step = engine.step
 
         def exploding_step(st):
@@ -579,11 +644,42 @@ class TestBlockedMetrics:
             return real_step(st)
 
         monkeypatch.setattr(engine, "step", exploding_step)
-        blocked, legacy = self.both(instances, T=100, stride=3)
+        blocked, legacy = self.both(instances, T=200, stride=3)
         assert blocked.diverged_at == blow_up_at + 1
         assert [r.t for r in blocked.records] == list(range(0, blow_up_at + 1, 3))
         assert [r.diverged for r in blocked.records] == [False] * (len(blocked.records) - 1) + [True]
         assert_same_run(blocked, legacy)
+
+
+@given(
+    start=strategies.tuples(strategies.floats(min_value=0.0), strategies.floats(), strategies.floats()),
+    terms=strategies.lists(
+        strategies.tuples(strategies.floats(min_value=0.0), strategies.floats(), strategies.floats()), max_size=60
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_fold_equals_the_per_round_sums(start, terms):
+    """``run`` folds a block's weighted sums as one in-place ``np.add.accumulate``
+    along axis 1 of the (3, k + 1) array [(wsum, wgap, wgrad), (lambda_t,
+    lambda_t * gap_t, lambda_t * grad_t), ...]; each column has the bits of
+    the per-round ``+=``, with inf, NaN, mixed signs and mixed magnitudes."""
+    sums = np.empty((3, len(terms) + 1))
+    sums[:, 0] = start
+    with np.errstate(invalid="ignore", over="ignore"):
+        if terms:
+            lams, gaps, grads = (np.array(col) for col in zip(*terms))
+            sums[0, 1:] = lams
+            np.multiply(lams, gaps, out=sums[1, 1:])
+            np.multiply(lams, grads, out=sums[2, 1:])
+        np.add.accumulate(sums, axis=1, out=sums)
+    wsum, wgap, wgrad = start
+    expected = [(wsum, wgap, wgrad)]
+    for lam_t, gap, grad in terms:
+        wsum += lam_t
+        wgap += lam_t * gap
+        wgrad += lam_t * grad
+        expected.append((wsum, wgap, wgrad))
+    assert sums.tobytes() == np.array(expected).T.copy().tobytes()
 
 
 def ball_binds(state):
