@@ -134,9 +134,12 @@ def _cmd_privacy_report(args) -> int:
         for c in rc.checks:
             print(f"    {'ok ' if c.satisfied else 'NO '} {c.name}: {c.left:.4g} vs {c.right:.4g}")
             rows.append((regime, c.name, c.left, c.right, c.satisfied))
+    path = os.path.join(cfg.output_dir, "privacy_report.csv")
+    header = ("regime", "condition", "left", "right", "satisfied")
     try:
         report = privacy.epsilon(cfg.T, schedules, W)
     except DagoptError as exc:
+        _write(path, csv_text(header, rows))  # the regime rows show which condition failed
         print(f"budget not certifiable: {exc}")
         return EXIT_FAIL
     c = problem.constants
@@ -155,8 +158,7 @@ def _cmd_privacy_report(args) -> int:
         ("eta", "intrinsic", eta_rep.intrinsic, "", ""),
         ("eta", "privacy", eta_rep.privacy_term, "", ""),
     ]
-    path = os.path.join(cfg.output_dir, "privacy_report.csv")
-    _write(path, csv_text(("regime", "condition", "left", "right", "satisfied"), rows))
+    _write(path, csv_text(header, rows))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -176,22 +178,6 @@ def _cmd_gradcheck(args) -> int:
             print(f"point {k}: over threshold at {res.worst}", file=sys.stderr)
     print(f"worst over {args.points} points: {worst:.3e} (threshold {args.threshold:g})")
     return EXIT_OK if worst < args.threshold else EXIT_FAIL
-
-
-def _cmd_lemma2(args) -> int:
-    if args.draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {args.draws}")
-    if args.horizon < 0:
-        raise ConfigError(f"horizon must be >= 0, got {args.horizon}")
-    results = privacy.check_lemma2_bounds(args.draws, args.horizon, seed=args.seed)
-    bad = [r for r in results if r.violated]
-    worst = max(r.max_ratio for r in results)
-    print(f"{len(results)} draws over horizon {args.horizon}: "
-          f"{len(bad)} violations, worst ratio {worst:.6f}")
-    for r in bad:
-        print(f"violation: case ({r.case}) a0={r.a0} b0={r.b0} a={r.a} b={r.b} "
-              f"phi0={r.phi0} ratio={r.max_ratio}")
-    return EXIT_OK if not bad else EXIT_FAIL
 
 
 def main(argv=None) -> int:
@@ -219,11 +205,6 @@ def main(argv=None) -> int:
     p_gc.add_argument("--points", type=int, default=20)
     p_gc.add_argument("--threshold", type=float, default=1e-5)
 
-    p_l2 = sub.add_parser("lemma2", help="random-draw suite for the recursion-taming bounds")
-    p_l2.add_argument("draws", type=int)
-    p_l2.add_argument("horizon", type=int)
-    p_l2.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
     if args.print_config:
         print(config_to_text(default_config()), end="")
@@ -240,7 +221,6 @@ def main(argv=None) -> int:
             "validate-graph": _cmd_validate_graph,
             "privacy-report": _cmd_privacy_report,
             "gradcheck": _cmd_gradcheck,
-            "lemma2": _cmd_lemma2,
         }[args.command]
         return handler(args)
     except DagoptError as exc:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DagoptError, DenominatorNonpositive, RegimeViolation
 from .network import WeightMatrix
 from .schedules import ScheduleSet
@@ -262,79 +260,3 @@ def calibrate_noise(target_epsilon: float, T: int, schedules: ScheduleSet, W: We
         2.0 * report.eps_psi * schedules.xi.base / target_epsilon,
         2.0 * report.eps_y * schedules.zeta.base / target_epsilon,
     )
-
-
-# ---------------------------------------------------------------------------
-# recursion-taming bound checker (the workhorse behind the sensitivity
-# closed forms): Phi_{t+1} <= (1 - a0/(t+1)^a) Phi_t + b0/(t+1)^b
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lemma2Draw:
-    case: str  # "i" or "ii"
-    a0: float
-    b0: float
-    a: float
-    b: float
-    phi0: float
-    max_ratio: float  # max over t of Phi_t / bound_t
-    violated: bool
-
-
-def _iterate_phi(a0, b0, a, b, phi0, T):
-    t_arr = np.arange(T + 1, dtype=float) + 1.0
-    a_t = a0 / t_arr**a
-    b_t = b0 / t_arr**b
-    phi = np.empty(T + 1)
-    phi[0] = phi0
-    for t in range(T):
-        phi[t + 1] = (1.0 - a_t[t]) * phi[t] + b_t[t]
-    return t_arr, a_t, b_t, phi
-
-def check_lemma2_case_i(a0, b0, a, b, phi0, T) -> Lemma2Draw:
-    """Bound: Phi_t <= c_Phi b_t / a_t, c_Phi = (a0/b0) max{Phi0, b0/(a0-(b-a))}.
-
-    Hypotheses: 1 > a > 0, b > a, b0 > 0, 1 >= a0 > b - a."""
-    t_arr, a_t, b_t, phi = _iterate_phi(a0, b0, a, b, phi0, T)
-    c_phi = (a0 / b0) * max(phi0, b0 / (a0 - (b - a)))
-    bound = c_phi * b_t / a_t
-    ratio = float((phi / bound).max())
-    return Lemma2Draw("i", a0, b0, a, b, phi0, ratio, ratio > 1.0 + 1e-12)
-
-
-def check_lemma2_case_ii(a0, b0, a, b, phi0, T) -> Lemma2Draw:
-    """Bound: Phi_t <= Phi0 exp(-a0 (1-(t+1)^{-(a-1)})/(a-1)) + b0 b/(b-1).
-
-    Hypotheses: a > 1, b > 1, b0 > 0, 1 >= a0 > 0.  Why this form: as
-    a0 <= 1, each factor 1 - a_p lies in [0, 1) and is at most exp(-a_p),
-    and sum_{p<t} a_p >= a0 int_1^{t+1} s^{-a} ds gives the decay factor;
-    the damped forcing terms add up to at most sum_{k>=1} b0 k^{-b}
-    <= b0 (1 + 1/(b-1)) = b0 b/(b-1).  Without the a0 in the exponent, or
-    with the integral b0/(b-1) alone, random draws violate the bound."""
-    t_arr, a_t, b_t, phi = _iterate_phi(a0, b0, a, b, phi0, T)
-    decay = np.exp(-a0 * (1.0 - t_arr ** (-(a - 1.0))) / (a - 1.0))
-    bound = phi0 * decay + b0 * b / (b - 1.0)
-    ratio = float((phi / np.maximum(bound, 1e-300)).max())
-    return Lemma2Draw("ii", a0, b0, a, b, phi0, ratio, ratio > 1.0 + 1e-12)
-
-
-def check_lemma2_bounds(draws: int, horizon: int, seed: int = 0) -> list[Lemma2Draw]:
-    """Seeded random hypothesis-satisfying draws for both cases; parameters
-    violating a hypothesis are rejected at generation."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    results: list[Lemma2Draw] = []
-    for k in range(draws):
-        phi0 = 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-3, 2))
-        b0 = float(10.0 ** rng.uniform(-3, 1))
-        if k % 2 == 0:  # case (i)
-            a = float(rng.uniform(0.05, 0.95))
-            b = float(rng.uniform(a + 0.02, a + 0.9))
-            a0 = float(rng.uniform(b - a + 0.01, 1.0))
-            results.append(check_lemma2_case_i(a0, b0, a, b, phi0, horizon))
-        else:  # case (ii)
-            a = float(rng.uniform(1.05, 3.0))
-            b = float(rng.uniform(1.05, 3.0))
-            a0 = float(rng.uniform(0.01, 1.0))
-            results.append(check_lemma2_case_ii(a0, b0, a, b, phi0, horizon))
-    return results

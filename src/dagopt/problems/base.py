@@ -74,7 +74,6 @@ class AggregativeProblem:
     # interior_sampler(rng) -> (m, n) draws a strictly interior point.
     interior_check: Callable[[np.ndarray, float], np.ndarray]
     interior_sampler: Callable[[np.random.Generator], np.ndarray]
-    name: str = "problem"
     meta: dict = field(default_factory=dict)
 
     # Method wrappers around the fields, kept as the names callers (and

@@ -178,7 +178,6 @@ def ev_problem(spec: EVChargingSpec) -> AggregativeProblem:
         constants=constants,
         psi_lo=np.zeros(K),
         psi_hi=psi_hi,
-        name="ev-charging",
         f_all=spec.f_all,
         g_all=spec.g_all,
         grad1_all=spec.grad1_all,

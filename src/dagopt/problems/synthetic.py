@@ -146,7 +146,6 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         constants=constants,
         psi_lo=psi_lo,
         psi_hi=psi_hi,
-        name=f"synthetic-{kind}",
         f_all=f_all,
         g_all=data.g_all,
         grad1_all=grad1_all,

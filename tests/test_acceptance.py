@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from test_privacy import check_lemma2_bounds
 
 from dagopt import engine, privacy
 from dagopt.harness import (
@@ -249,7 +250,7 @@ def test_criterion_08_truthfulness_gain_bound():
 
 
 def test_criterion_09_sequence_bound_property_suite():
-    results = privacy.check_lemma2_bounds(200, 10_000, seed=0)
+    results = check_lemma2_bounds(200, 10_000, seed=0)
     bad = [r for r in results if r.violated]
     worst = max(r.max_ratio for r in results)
     ok = not bad

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pathlib
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from test_network import save_edgelist
 
-from dagopt import engine
+from dagopt import engine, privacy
 from dagopt.errors import ConfigError, DagoptError
 from dagopt.harness import cli, config
 from dagopt.harness.config import (
@@ -552,18 +553,13 @@ class TestCli:
         cfg_path.write_text("[experiment]\nkind = gradcheck\n[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n")
         assert cli.main(["gradcheck", str(cfg_path), "--points", "3"]) == 0
 
-    def test_lemma2_subcommand(self):
-        assert cli.main(["lemma2", "5", "200", "--seed", "0"]) == 0
-
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["lemma2", "0", "5"], "draws must be >= 1, got 0"),
-            (["lemma2", "3", "-2"], "horizon must be >= 0, got -2"),
             (["gradcheck", "CFG", "--points", "0"], "--points must be >= 1, got 0"),
             (["gradcheck", "CFG", "--points", "-3"], "--points must be >= 1, got -3"),
         ],
-        ids=["lemma2-no-draws", "lemma2-negative-horizon", "gradcheck-no-points", "gradcheck-negative-points"],
+        ids=["gradcheck-no-points", "gradcheck-negative-points"],
     )
     def test_count_argument_out_of_range_exits_2_with_one_error_line(self, tmp_path, capsys, argv, message):
         cfg_path = tmp_path / "exp.ini"
@@ -573,9 +569,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
-    def test_lemma2_zero_horizon_runs(self, capsys):
-        assert cli.main(["lemma2", "3", "0"]) == 0
-        assert capsys.readouterr().out.startswith("3 draws over horizon 0: ")
+    def test_readme_cli_block_names_the_parsers_subcommands(self, capsys):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1] for line in block.splitlines() if line.startswith("dagopt ")}
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        choices = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert documented - {"--print-config"} == set(choices.split(","))
+
+    def test_retired_lemma2_command_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lemma2", "5", "200"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lemma2'" in capsys.readouterr().err
 
     def test_validate_graph_subcommand(self, tmp_path):
         from dagopt.network import generate_k_regular
@@ -645,6 +652,20 @@ class TestCli:
         # epsilon(100) > 1 at sec5-truthful
         notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note: ")]
         assert notes == ["note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified"]
+
+    def test_privacy_report_without_a_certified_budget_writes_the_regime_rows(self, tmp_path, capsys):
+        # the default exponents are not T2-truthful, so the budget is refused
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(f"[experiment]\nkind = privacy-report\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["privacy-report", str(cfg_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].startswith("budget not certifiable: ")
+        printed = [line.split(None, 1)[1].rsplit(": ", 1)[0] for line in out if line.startswith("    ")]
+        with open(tmp_path / "out" / "privacy_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["condition"] for r in rows] == printed
+        assert {r["regime"] for r in rows} == set(privacy.REGIMES)  # no epsilon or eta rows
+        assert any(r["regime"] == "T2-truthful" and r["satisfied"] == "False" for r in rows)
 
     def test_truthfulness_run_flags_eta_as_not_certified_when_epsilon_exceeds_one(self, tmp_path, capsys):
         # at sec5-truthful, epsilon(250) > 1, so eta's 2*epsilon term is no
