@@ -2,40 +2,9 @@
 
 
 class DagoptError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; its message names the
+    failed condition."""
 
 
-# network
-class DisconnectedTopology(DagoptError):
-    pass
-
-
-class SpectralViolation(DagoptError):
-    pass
-
-
-class InfeasibleDegree(DagoptError):
-    pass
-
-
-# problems
-class InfeasibleBudget(DagoptError):
-    pass
-
-
-class PointTooCloseToBoundary(DagoptError):
-    pass
-
-
-# privacy
-class DenominatorNonpositive(DagoptError):
-    pass
-
-
-class RegimeViolation(DagoptError):
-    pass
-
-
-# harness
 class ConfigError(DagoptError):
     pass

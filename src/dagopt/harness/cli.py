@@ -1,5 +1,10 @@
 """Command-line front-end.
 
+``run`` looks the config's kind up in ``experiments.KINDS``, writes the
+files of the summary it returns and prints that summary's verdict.  The
+other subcommands are diagnostics that run no experiment, so a config for
+them may omit ``kind``.
+
 Exit codes: 0 success, 2 assertion/validation failure, 3 divergence was
 flagged where divergence is the expected outcome (robustness baseline).
 The DAGOPT_OUTPUT_DIR environment variable overrides the configured output
@@ -21,19 +26,7 @@ from ..errors import ConfigError, DagoptError
 from ..network import load_edgelist, uniform_weights, validate_assumption2
 from ..problems.gradcheck import finite_diff_check, random_interior_point
 from .config import build_instance, build_problem, config_to_text, default_config, parse_config
-from .experiments import (
-    AdjacentScenario,
-    _write,
-    csv_text,
-    emit_outputs,
-    run_convergence_experiment,
-    run_robustness_experiment,
-    run_truthfulness_experiment,
-)
-
-EXIT_OK = 0
-EXIT_FAIL = 2
-EXIT_DIVERGED_EXPECTED = 3
+from .experiments import EXIT_FAIL, EXIT_OK, KINDS, _write, csv_text, emit_outputs, eta_notes
 
 
 def _load_cfg(path: str):
@@ -51,52 +44,14 @@ def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def _warn_unconverged_oracle(oracle) -> None:
-    if oracle is not None and not oracle.converged:
-        print(f"warning: the centralized oracle stopped after {oracle.iterations} iterations at projected-gradient "
-              f"norm {oracle.pg_norm:.3g} without converging; err_x and gap_F are measured against its last iterate",
-              file=sys.stderr)
-
-
-def _note_eta(eta_rep: privacy.EtaReport) -> None:
-    if eta_rep.linearization_exceeded:
-        print("note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified")
-
-
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args.config)
-    if cfg.kind == "convergence":
-        summary = run_convergence_experiment(cfg)
-        emit_outputs(summary, cfg.output_dir)
-        _warn_unconverged_oracle(summary.oracle)
-        print(f"convergence: slope={summary.slope:.4f} on {summary.slope_metric}, "
-              f"diverged_seeds={list(summary.diverged_seeds)}")
-        return EXIT_FAIL if summary.diverged_seeds else EXIT_OK
-    if cfg.kind == "robustness":
-        summary = run_robustness_experiment(cfg)
-        emit_outputs(summary, cfg.output_dir)
-        _warn_unconverged_oracle(summary.oracle)
-        nb, na = len(summary.seeds_baseline_flagged), len(summary.seeds_alg1_flagged)
-        print(f"robustness: baseline flagged on {nb}/{len(cfg.seeds)} seeds, "
-              f"noise-injected tracker flagged on {na}/{len(cfg.seeds)}")
-        if na:
-            return EXIT_FAIL
-        return EXIT_DIVERGED_EXPECTED if nb else EXIT_OK
-    if cfg.kind == "truthfulness":
-        scenario = AdjacentScenario(
-            agents=cfg.untruthful_agents,
-            shift_fraction=cfg.shift_fraction,
-            pivot_slot=cfg.pivot_slot,
-        )
-        summary = run_truthfulness_experiment(cfg, scenario)
-        emit_outputs(summary, cfg.output_dir)
-        print(f"truthfulness: median gain (noise-injected) = {summary.median_gain_alg1:.6g}, "
-              f"median gain (conventional) = {summary.median_gain_naive:.6g}, eta = {summary.eta:.6g}")
-        _note_eta(summary.eta_report)
-        return EXIT_FAIL if summary.bound_violations else EXIT_OK
-    print(f"config kind {cfg.kind!r} is not runnable via `run`; use the dedicated subcommand",
-          file=sys.stderr)
-    return EXIT_FAIL
+    summary = KINDS[cfg.kind](cfg)
+    emit_outputs(summary, cfg.output_dir)
+    out, err, code = summary.verdict()
+    sys.stderr.writelines(f"{line}\n" for line in err)
+    sys.stdout.writelines(f"{line}\n" for line in out)
+    return code
 
 
 def _cmd_validate_graph(args) -> int:
@@ -149,7 +104,8 @@ def _cmd_privacy_report(args) -> int:
           f"(aggregate-tracker {report.eps_psi:.6g} + gradient-tracker {report.eps_y:.6g})")
     print(f"eta = {eta_rep.eta:.6g} (intrinsic {eta_rep.intrinsic:.6g} "
           f"+ privacy {eta_rep.privacy_term:.6g})")
-    _note_eta(eta_rep)
+    for line in eta_notes(eta_rep):
+        print(line)
     rows += [
         ("epsilon", "total", report.epsilon, "", ""),
         ("epsilon", "aggregate-tracker", report.eps_psi, "", ""),

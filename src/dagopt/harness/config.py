@@ -56,7 +56,7 @@ _SCHEDULE_FIELDS = (
     "varsigma_xi",
 )
 
-EXPERIMENT_KINDS = ("convergence", "robustness", "truthfulness", "privacy-report", "gradcheck", "validate-graph")
+EXPERIMENT_KINDS = ("convergence", "robustness", "truthfulness")
 PROBLEM_KINDS = ("ev", "strongly-convex", "convex", "nonconvex")
 TOPOLOGY_KINDS = ("ring", "complete", "k-regular")
 

@@ -1,6 +1,11 @@
 """The three experiment families (convergence, noise-robustness,
 truthfulness) plus deterministic output emission.
 
+``KINDS`` maps each experiment kind a config may name to its run function.
+The summary a run returns knows its own outputs: ``files()`` gives the
+(name, text) pairs that ``emit_outputs`` writes, and ``verdict()`` the
+stdout lines, the stderr lines and the exit code of ``dagopt run``.
+
 Each experiment builds its problem, network and schedules (truthfulness
 also its perturbed problem) once and hands its list of integrator runs to
 one executor, which runs equal runs once (so the truthfulness noise-free
@@ -32,6 +37,10 @@ from ..problems.ev import EVChargingSpec
 from ..problems.oracle import OracleSolution
 from .config import ExperimentConfig, build_instance, config_to_text, manifest_hash
 from .svgplot import Series, line_plot
+
+EXIT_OK = 0
+EXIT_FAIL = 2
+EXIT_DIVERGED_EXPECTED = 3
 
 _TINY = 1e-18
 # a robustness curve is flagged when its terminal error exceeds RATIO_THRESHOLD
@@ -103,6 +112,28 @@ class ConvergenceSummary:
     weighted_avg_grad: float
     diverged_seeds: tuple[int, ...]
     oracle: OracleSolution | None  # None for a nonconvex problem
+
+    def files(self) -> list[tuple[str, str]]:
+        svg = line_plot(
+            [_curve_series(self.mean_records, self.slope_metric, self.slope_metric)],
+            title=f"seed-mean {self.slope_metric}; slope {self.slope:.3f} on [T/10, T]",
+            xlabel="iteration", ylabel=self.slope_metric,
+        )
+        manifest = _manifest(self.cfg, [
+            f"slope = {self.slope!r}",
+            f"slope_metric = {self.slope_metric}",
+            "slope_window = [T/10, T]  # last decade, skips transients",
+            f"weighted_avg_gap = {self.weighted_avg_gap!r}",
+            f"weighted_avg_grad = {self.weighted_avg_grad!r}",
+            f"diverged_seeds = {list(self.diverged_seeds)}",
+            *_oracle_lines(self.oracle),
+        ])
+        return [("metrics.csv", _records_csv(self.mean_records)), ("curve.svg", svg), ("manifest.txt", manifest)]
+
+    def verdict(self) -> tuple[list[str], list[str], int]:
+        out = [f"convergence: slope={self.slope:.4f} on {self.slope_metric}, "
+               f"diverged_seeds={list(self.diverged_seeds)}"]
+        return out, _oracle_warnings(self.oracle), EXIT_FAIL if self.diverged_seeds else EXIT_OK
 
 
 def _mean_records(per_seed: dict[int, list[MetricsRecord]]) -> list[MetricsRecord]:
@@ -187,6 +218,28 @@ class RobustnessSummary:
     seeds_baseline_flagged: tuple[int, ...]
     seeds_alg1_flagged: tuple[int, ...]
     oracle: OracleSolution
+
+    def files(self) -> list[tuple[str, str]]:
+        a_recs, b_recs = self.per_seed[sorted(self.per_seed)[0]]
+        svg = line_plot(
+            [_curve_series(a_recs, "gap_F", "noise-injected tracker"),
+             _curve_series(b_recs, "gap_F", "conventional tracker")],
+            title="objective gap under identical noise", xlabel="iteration", ylabel="F - F*",
+        )
+        verdict_lines = [
+            f"seed{s}_alg1_flagged = {a.flagged}  (ratio {a.error_ratio:.3g}), "
+            f"baseline_flagged = {b.flagged} (ratio {b.error_ratio:.3g})"
+            for s, (a, b) in sorted(self.verdicts.items())
+        ]
+        manifest = _manifest(self.cfg, [*verdict_lines, *_oracle_lines(self.oracle)])
+        return [("metrics.csv", _records_csv(a_recs)), ("metrics_baseline.csv", _records_csv(b_recs)),
+                ("curve.svg", svg), ("manifest.txt", manifest)]
+
+    def verdict(self) -> tuple[list[str], list[str], int]:
+        nb, na, seeds = len(self.seeds_baseline_flagged), len(self.seeds_alg1_flagged), len(self.cfg.seeds)
+        out = [f"robustness: baseline flagged on {nb}/{seeds} seeds, noise-injected tracker flagged on {na}/{seeds}"]
+        code = EXIT_FAIL if na else EXIT_DIVERGED_EXPECTED if nb else EXIT_OK
+        return out, _oracle_warnings(self.oracle), code
 
 
 def _error_at(records: list[MetricsRecord], t: int) -> float:
@@ -324,6 +377,30 @@ class TruthfulnessSummary:
     def eta(self) -> float:
         return self.eta_report.eta
 
+    def files(self) -> list[tuple[str, str]]:
+        valid = not self.eta_report.linearization_exceeded
+        header = ("seed", "gain_alg1", "gain_naive", "eta", "global_inflation", "eta_linearization_valid")
+        manifest = _manifest(self.cfg, [
+            f"epsilon = {self.epsilon!r}",
+            f"eta = {self.eta!r}",
+            f"eta_intrinsic = {self.eta_report.intrinsic!r}",
+            f"eta_privacy_term = {self.eta_report.privacy_term!r}",
+            f"eta_linearization_valid = {valid}",
+            f"median_gain_alg1 = {self.median_gain_alg1!r}",
+            f"median_gain_naive = {self.median_gain_naive!r}",
+            f"perturbed_agents = {list(self.scenario.agents)}",
+            f"shift_fraction = {self.scenario.shift_fraction!r}",
+            f"pivot_slot = {self.scenario.pivot_slot}",
+            f"bound_violations = {list(self.bound_violations)}",
+        ])
+        return [("gains.csv", csv_text(header, [(*row, valid) for row in self.rows])), ("manifest.txt", manifest)]
+
+    def verdict(self) -> tuple[list[str], list[str], int]:
+        out = [f"truthfulness: median gain (noise-injected) = {self.median_gain_alg1:.6g}, "
+               f"median gain (conventional) = {self.median_gain_naive:.6g}, eta = {self.eta:.6g}",
+               *eta_notes(self.eta_report)]
+        return out, [], EXIT_FAIL if self.bound_violations else EXIT_OK
+
 
 def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenario) -> TruthfulnessSummary:
     """A noise-injected pair of runs per seed, on the true and the perturbed
@@ -363,6 +440,14 @@ def run_truthfulness_experiment(cfg: ExperimentConfig, scenario: AdjacentScenari
         median_gain_naive=float(np.median([r[2] for r in rows])),
         bound_violations=tuple(violations),
     )
+
+
+KINDS = {
+    "convergence": run_convergence_experiment,
+    "robustness": run_robustness_experiment,
+    "truthfulness": lambda cfg: run_truthfulness_experiment(cfg, AdjacentScenario(
+        agents=cfg.untruthful_agents, shift_fraction=cfg.shift_fraction, pivot_slot=cfg.pivot_slot)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -441,75 +526,30 @@ def _oracle_lines(oracle: OracleSolution | None) -> list[str]:
     ]
 
 
+def _oracle_warnings(oracle: OracleSolution | None) -> list[str]:
+    if oracle is None or oracle.converged:
+        return []
+    return [f"warning: the centralized oracle stopped after {oracle.iterations} iterations at projected-gradient "
+            f"norm {oracle.pg_norm:.3g} without converging; err_x and gap_F are measured against its last iterate"]
+
+
+def eta_notes(eta_rep: privacy.EtaReport) -> list[str]:
+    if not eta_rep.linearization_exceeded:
+        return []
+    return ["note: epsilon outside (0,1); the 2*epsilon linearization in eta is not certified"]
+
+
 def _curve_series(records: list[MetricsRecord], metric: str, label: str) -> Series:
     pts = [(r.t, getattr(r, metric)) for r in records if r.t > 0]
     return Series(label=label, xs=tuple(p[0] for p in pts), ys=tuple(p[1] for p in pts))
 
 
 def emit_outputs(summary, out_dir: str) -> list[str]:
-    """Write the experiment's CSV/SVG/manifest files; returns paths."""
+    """Write the summary's files under ``out_dir``; returns their paths."""
     paths = []
-
-    def emit(name, text):
-        path = os.path.join(out_dir, name)
-        _write(path, text)
-        paths.append(path)
-
-    if isinstance(summary, ConvergenceSummary):
-        emit("metrics.csv", _records_csv(summary.mean_records))
-        svg = line_plot(
-            [_curve_series(summary.mean_records, summary.slope_metric, summary.slope_metric)],
-            title=f"seed-mean {summary.slope_metric}; slope {summary.slope:.3f} on [T/10, T]",
-            xlabel="iteration", ylabel=summary.slope_metric,
-        )
-        emit("curve.svg", svg)
-        emit("manifest.txt", _manifest(summary.cfg, [
-            f"slope = {summary.slope!r}",
-            f"slope_metric = {summary.slope_metric}",
-            "slope_window = [T/10, T]  # last decade, skips transients",
-            f"weighted_avg_gap = {summary.weighted_avg_gap!r}",
-            f"weighted_avg_grad = {summary.weighted_avg_grad!r}",
-            f"diverged_seeds = {list(summary.diverged_seeds)}",
-            *_oracle_lines(summary.oracle),
-        ]))
-    elif isinstance(summary, RobustnessSummary):
-        seed0 = sorted(summary.per_seed)[0]
-        a_recs, b_recs = summary.per_seed[seed0]
-        emit("metrics.csv", _records_csv(a_recs))
-        emit("metrics_baseline.csv", _records_csv(b_recs))
-        svg = line_plot(
-            [_curve_series(a_recs, "gap_F", "noise-injected tracker"),
-             _curve_series(b_recs, "gap_F", "conventional tracker")],
-            title="objective gap under identical noise", xlabel="iteration", ylabel="F - F*",
-        )
-        emit("curve.svg", svg)
-        verdict_lines = [
-            f"seed{s}_alg1_flagged = {summary.verdicts[s][0].flagged}  "
-            f"(ratio {summary.verdicts[s][0].error_ratio:.3g}), "
-            f"baseline_flagged = {summary.verdicts[s][1].flagged} "
-            f"(ratio {summary.verdicts[s][1].error_ratio:.3g})"
-            for s in sorted(summary.verdicts)
-        ]
-        emit("manifest.txt", _manifest(summary.cfg, [*verdict_lines, *_oracle_lines(summary.oracle)]))
-    elif isinstance(summary, TruthfulnessSummary):
-        valid = not summary.eta_report.linearization_exceeded
-        header = ("seed", "gain_alg1", "gain_naive", "eta", "global_inflation", "eta_linearization_valid")
-        emit("gains.csv", csv_text(header, [(*row, valid) for row in summary.rows]))
-        emit("manifest.txt", _manifest(summary.cfg, [
-            f"epsilon = {summary.epsilon!r}",
-            f"eta = {summary.eta!r}",
-            f"eta_intrinsic = {summary.eta_report.intrinsic!r}",
-            f"eta_privacy_term = {summary.eta_report.privacy_term!r}",
-            f"eta_linearization_valid = {valid}",
-            f"median_gain_alg1 = {summary.median_gain_alg1!r}",
-            f"median_gain_naive = {summary.median_gain_naive!r}",
-            f"perturbed_agents = {list(summary.scenario.agents)}",
-            f"shift_fraction = {summary.scenario.shift_fraction!r}",
-            f"pivot_slot = {summary.scenario.pivot_slot}",
-            f"bound_violations = {list(summary.bound_violations)}",
-        ]))
-    else:
-        raise TypeError(f"unknown summary type {type(summary).__name__}")
+    for name, text in summary.files():
+        paths.append(os.path.join(out_dir, name))
+        _write(paths[-1], text)
     return paths
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DisconnectedTopology, InfeasibleDegree, SpectralViolation
+from .errors import DagoptError
 
 _SPECTRAL_TOL = 1e-9
 _SUM_TOL = 1e-12
@@ -190,9 +190,9 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
     Stubs are shuffled and paired; draws with self-loops, multi-edges, or a
     disconnected result are rejected and retried (bounded retries)."""
     if m * k % 2 != 0:
-        raise InfeasibleDegree(f"m*k must be even, got m={m}, k={k}")
+        raise DagoptError(f"m*k must be even, got m={m}, k={k}")
     if not (0 < k < m):
-        raise InfeasibleDegree(f"need 0 < k < m, got m={m}, k={k}")
+        raise DagoptError(f"need 0 < k < m, got m={m}, k={k}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     stubs = np.repeat(np.arange(m), k)
     for _ in range(1000):
@@ -207,7 +207,7 @@ def generate_k_regular(m: int, k: int, seed: int) -> Topology:
         top = Topology(m, tuple(zip(lo.tolist(), hi.tolist())))
         if top.is_connected():
             return top
-    raise InfeasibleDegree(f"could not generate a simple connected {k}-regular graph on {m} vertices")
+    raise DagoptError(f"could not generate a simple connected {k}-regular graph on {m} vertices")
 
 
 def uniform_weights(topology: Topology, edge_weight: float) -> WeightMatrix:
@@ -216,7 +216,7 @@ def uniform_weights(topology: Topology, edge_weight: float) -> WeightMatrix:
         raise ValueError(f"edge_weight must be finite and > 0, got {edge_weight}")
     W = WeightMatrix.from_edges(topology.m, topology.edge_index, edge_weight)
     if W.diag.min() == -np.inf:  # then delta_m <= min_i w_ii = -inf
-        raise SpectralViolation(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
+        raise DagoptError(f"edge_weight {edge_weight:.12g} overflows a diagonal weight to -inf")
     return W
 
 
@@ -229,7 +229,7 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     edge_weight * max_degree < 1 so that 1 + w_ii > 0."""
     ecc = topology.eccentricity()
     if ecc is None:
-        raise DisconnectedTopology(f"topology on {topology.m} agents is not connected")
+        raise DagoptError(f"topology on {topology.m} agents is not connected")
     m = topology.m
     e = topology.edge_index
     W = uniform_weights(topology, edge_weight)
@@ -240,7 +240,7 @@ def build_weight_matrix(topology: Topology, edge_weight: float) -> WeightMatrix:
     if not (band and gap):
         cert = validate_assumption2(W)
         if not cert.ok:
-            raise SpectralViolation("; ".join(cert.violations))
+            raise DagoptError("; ".join(cert.violations))
     return W
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DagoptError, DenominatorNonpositive, RegimeViolation
+from .errors import DagoptError
 from .network import WeightMatrix
 from .schedules import ScheduleSet
 
@@ -158,7 +158,7 @@ def c1_constant(schedules: ScheduleSet, w_hat: float) -> float:
     gamma2 = schedules.gamma2.base
     denom = w_hat * gamma2 - (u - w1 - w2)
     if denom <= 0:
-        raise DenominatorNonpositive(
+        raise DagoptError(
             f"w_hat*gamma2 = {w_hat * gamma2:.6g} must exceed u - w1 - w2 = {u - w1 - w2:.6g}"
         )
     return w_hat * gamma2 / denom
@@ -199,16 +199,16 @@ class PrivacyReport:
 def epsilon(T: int | None, schedules: ScheduleSet, W: WeightMatrix | float) -> PrivacyReport:
     """Cumulative privacy budget over t = 1..T (T=None for the infinite
     horizon, evaluated exactly via the Hurwitz zeta function); raises
-    RegimeViolation outside the T2-truthful regime."""
+    DagoptError outside the T2-truthful regime."""
     w_hat = W.w_hat if isinstance(W, WeightMatrix) else float(W)
     regime = check_regime(schedules, "T2-truthful")
     if not regime.passed:
         fails = "; ".join(f"{c.name} ({c.left:.4g} vs {c.right:.4g})" for c in regime.failures())
-        raise RegimeViolation(f"T2-truthful regime fails: {fails} — budget would not be certified finite")
+        raise DagoptError(f"T2-truthful regime fails: {fails} — budget would not be certified finite")
     u, _, w1, w2, s_z, s_x = _exponents(schedules)
     p_psi, p_y = u - w1 - w2 - s_x, w1 - s_z  # psi-mechanism, y-mechanism
     if T is None and (p_psi <= 1.0 or p_y <= 1.0):
-        raise RegimeViolation("infinite-horizon budget requires both series exponents > 1")
+        raise DagoptError("infinite-horizon budget requires both series exponents > 1")
     # series coefficients sqrt(2) Delta_0 / sigma: every profile is its base at t = 0
     A_psi = math.sqrt(2.0) * sensitivity_psi(0, schedules, w_hat) / schedules.xi.base
     A_y = math.sqrt(2.0) * sensitivity_y(0, schedules, w_hat) / schedules.zeta.base

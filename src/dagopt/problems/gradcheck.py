@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PointTooCloseToBoundary
+from ..errors import DagoptError
 from .base import AggregativeProblem
 
 H = 1e-5  # central-difference step
@@ -48,9 +48,9 @@ def finite_diff_check(problem: AggregativeProblem, x: np.ndarray, psi: np.ndarra
     inside = problem.interior_check(x, 2 * H)
     if not inside.all():
         i, j = np.argwhere(~inside)[0]
-        raise PointTooCloseToBoundary(f"x^{i} coordinate {j} within 2h of the boundary of its smooth region")
+        raise DagoptError(f"x^{i} coordinate {j} within 2h of the boundary of its smooth region")
     if np.any(psi - 2 * H <= problem.psi_lo) or np.any(psi + 2 * H >= problem.psi_hi):
-        raise PointTooCloseToBoundary("psi within 2h of the psi domain box")
+        raise DagoptError("psi within 2h of the psi domain box")
 
     P = np.broadcast_to(psi, (m, d))
     fd1, an1 = central_differences(lambda v: problem.f_all(v, P), x, H), problem.grad1_all(x, P)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InfeasibleBudget
+from ..errors import DagoptError
 
 _EQ_TOL = 1e-10
 
@@ -34,10 +34,10 @@ class BoxBudgetProjection:
         x_max = np.asarray(x_max, dtype=float)
         E = np.asarray(E, dtype=float)
         if (x_max < 0).any():
-            raise InfeasibleBudget("x_max must be nonnegative")
+            raise DagoptError("x_max must be nonnegative")
         total = x_max.sum(axis=1)
         if (E < -_EQ_TOL).any() or (E > total + _EQ_TOL).any():
-            raise InfeasibleBudget("some budget E outside [0, sum(x_max)]")
+            raise DagoptError("some budget E outside [0, sum(x_max)]")
         self.x_max = x_max
         self.E = E.clip(0.0, total)
         self.hint = None  # each row's bracketing index from the previous call

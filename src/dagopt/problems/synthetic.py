@@ -154,7 +154,7 @@ def synthetic_problem(kind: str, m: int, n_i: int, d: int, seed: int = 0) -> Agg
         project_all=data.project_all,
         interior_check=data.interior_check,
         interior_sampler=data.interior_sampler,
-        meta={"a": a, "b": b, "q": q, "A": A, "c": c, "kappa": kappa, "kind": kind, "seed": seed},
+        meta={"a": a, "b": b, "A": A, "c": c},
     )
     if kind == "nonconvex":
         _assert_nonconvex(prob)

@@ -30,6 +30,7 @@ from dagopt.harness.config import (
     parse_config,
 )
 from dagopt.harness.experiments import (
+    KINDS,
     AdjacentScenario,
     _drop_state,
     _execute,
@@ -207,16 +208,6 @@ class TestTruthfulnessPlumbing:
             assert inflation == 0.0
 
 
-def _run_kind(cfg):
-    if cfg.kind == "convergence":
-        return run_convergence_experiment(cfg)
-    if cfg.kind == "robustness":
-        return run_robustness_experiment(cfg)
-    scenario = AdjacentScenario(agents=cfg.untruthful_agents, shift_fraction=cfg.shift_fraction,
-                                pivot_slot=cfg.pivot_slot)
-    return run_truthfulness_experiment(cfg, scenario)
-
-
 _SMALL = {
     "convergence": "[experiment]\nkind = convergence\nT = 20\n[problem]\nproblem = strongly-convex\nm = 6\n",
     "robustness": "[experiment]\nkind = robustness\nT = 100\n[schedules]\npreset = sec5-truthful\n",
@@ -236,6 +227,18 @@ def _emitted_files(summary, out) -> dict:
     return files
 
 
+class TestKinds:
+    def test_run_table_holds_the_config_kinds_and_each_writes_the_files_readme_documents(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n`dagopt run` writes these files", 1)[1].split("\n\n", 2)[1]
+        documented = {row.split(" | ")[0].strip("| `"): re.findall(r"`([^`]+)`", row.split(" | ", 1)[1])
+                      for row in table.splitlines()[2:]}
+        assert set(KINDS) == set(config.EXPERIMENT_KINDS) == set(documented)
+        for kind, run in KINDS.items():
+            summary = run(dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,)))
+            assert [name for name, _ in summary.files()] == documented[kind], kind
+
+
 class TestSeedChunks:
     @pytest.mark.parametrize("kind,most", [("convergence", 1), ("robustness", 1), ("truthfulness", 2)])
     def test_network_built_once_per_experiment(self, monkeypatch, kind, most):
@@ -248,7 +251,7 @@ class TestSeedChunks:
 
         monkeypatch.setattr(config, "build_weight_matrix", counted)
         cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2), workers=1)
-        _run_kind(cfg)
+        KINDS[kind](cfg)
         assert 1 <= len(calls) <= most
 
     @pytest.mark.parametrize("kind", ["convergence", "robustness", "truthfulness"])
@@ -262,7 +265,7 @@ class TestSeedChunks:
 
             monkeypatch.setattr(config, name, spy)
         cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2), workers=1)
-        _run_kind(cfg)
+        KINDS[kind](cfg)
         problem = "ev_problem" if cfg.problem == "ev" else "synthetic_problem"
         assert sorted(calls) == sorted(["build_weight_matrix", problem])
 
@@ -270,7 +273,7 @@ class TestSeedChunks:
     def test_outputs_identical_across_worker_counts(self, tmp_path, kind):
         # 5 seeds over 2 workers gives uneven chunks (2 + 3)
         cfg = dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0, 1, 2, 3, 4))
-        outputs = {workers: _emitted_files(_run_kind(dataclasses.replace(cfg, workers=workers)),
+        outputs = {workers: _emitted_files(KINDS[kind](dataclasses.replace(cfg, workers=workers)),
                                            tmp_path / str(workers))
                    for workers in (1, 2, 5)}
         assert len(outputs[1]) >= 2
@@ -433,7 +436,7 @@ class TestEmission:
         found = []
         for run in range(2):
             out = tmp_path / str(run)
-            emit_outputs(_run_kind(dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), out)
+            emit_outputs(KINDS[kind](dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), out)
             found.append((out / "manifest.txt").read_text().splitlines())
         assert found[0] == found[1]
         keys = ("dagopt_version", "numpy_version", "scipy_version", "numpy_log_target")
@@ -445,7 +448,7 @@ class TestEmission:
 
     @pytest.mark.parametrize("kind", ["convergence", "robustness"])
     def test_manifest_records_the_oracle_stopping_state(self, tmp_path, kind):
-        emit_outputs(_run_kind(dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), tmp_path)
+        emit_outputs(KINDS[kind](dataclasses.replace(parse_config(_SMALL[kind]), seeds=(0,))), tmp_path)
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
         found = {key: [l.split(" = ")[1] for l in manifest if l.startswith(f"oracle_{key} = ")]
                  for key in ("iterations", "pg_norm", "converged")}
@@ -464,14 +467,14 @@ class TestEmission:
         found = []
         for run, workers in enumerate((1, 1, 2)):
             out = tmp_path / str(run)
-            emit_outputs(_run_kind(dataclasses.replace(cfg, workers=workers)), out)
+            emit_outputs(KINDS["truthfulness"](dataclasses.replace(cfg, workers=workers)), out)
             manifest = (out / "manifest.txt").read_text().splitlines()
             found.append([l for l in manifest if l.startswith("input_data_hash")])
         digest = input_data_hash()
         assert len(digest) == 64 and int(digest, 16) >= 0
         assert found == [[f"input_data_hash = {digest}"]] * 3
         # a synthetic problem reads no data file
-        emit_outputs(_run_kind(parse_config(_SMALL["convergence"])), tmp_path / "sc")
+        emit_outputs(KINDS["convergence"](parse_config(_SMALL["convergence"])), tmp_path / "sc")
         assert "input_data_hash" not in (tmp_path / "sc" / "manifest.txt").read_text()
 
 
@@ -550,7 +553,7 @@ class TestCli:
 
     def test_gradcheck_subcommand(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text("[experiment]\nkind = gradcheck\n[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n")
+        cfg_path.write_text("[problem]\nproblem = strongly-convex\nm = 4\nn = 2\nd = 2\n")
         assert cli.main(["gradcheck", str(cfg_path), "--points", "3"]) == 0
 
     @pytest.mark.parametrize(
@@ -563,7 +566,7 @@ class TestCli:
     )
     def test_count_argument_out_of_range_exits_2_with_one_error_line(self, tmp_path, capsys, argv, message):
         cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text("[experiment]\nkind = gradcheck\n")
+        cfg_path.write_text("")
         assert cli.main([str(cfg_path) if a == "CFG" else a for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -644,7 +647,7 @@ class TestCli:
     def test_privacy_report_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(
-            "[experiment]\nkind = privacy-report\nT = 100\n"
+            "[experiment]\nT = 100\n"
             f"output_dir = {tmp_path / 'out'}\n"
             "[schedules]\npreset = sec5-truthful\n"
         )
@@ -656,7 +659,7 @@ class TestCli:
     def test_privacy_report_without_a_certified_budget_writes_the_regime_rows(self, tmp_path, capsys):
         # the default exponents are not T2-truthful, so the budget is refused
         cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(f"[experiment]\nkind = privacy-report\noutput_dir = {tmp_path / 'out'}\n")
+        cfg_path.write_text(f"[experiment]\noutput_dir = {tmp_path / 'out'}\n")
         assert cli.main(["privacy-report", str(cfg_path)]) == 2
         out = capsys.readouterr().out.splitlines()
         assert out[-1].startswith("budget not certifiable: ")
@@ -687,12 +690,13 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and [r["eta_linearization_valid"] for r in rows] == ["False"] * len(rows)
 
-    @pytest.mark.parametrize("command,kind", [("run", "convergence"), ("privacy-report", "privacy-report")])
-    def test_output_dir_naming_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, command, kind):
+    @pytest.mark.parametrize("command,kind_line", [("run", "kind = convergence\n"), ("privacy-report", "")],
+                             ids=["run-convergence", "privacy-report"])
+    def test_output_dir_naming_a_file_exits_2_with_one_error_line(self, tmp_path, capsys, command, kind_line):
         blocker = tmp_path / "file"
         blocker.write_text("")
         cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(f"[experiment]\nkind = {kind}\nT = 5\nseeds = 0\noutput_dir = {blocker}\n"
+        cfg_path.write_text(f"[experiment]\n{kind_line}T = 5\nseeds = 0\noutput_dir = {blocker}\n"
                             "[schedules]\npreset = sec5-truthful\n")
         assert cli.main([command, str(cfg_path)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -705,7 +709,7 @@ class TestCli:
              ("metrics.csv", "metrics_baseline.csv")),
             ("run", "[experiment]\nkind = truthfulness\nseeds = 0\n[schedules]\npreset = sec5-truthful\n"
              "[truthfulness]\ntruthful_T = 60\n", ("gains.csv",)),
-            ("privacy-report", "[experiment]\nkind = privacy-report\nT = 100\n[schedules]\npreset = sec5-truthful\n",
+            ("privacy-report", "[experiment]\nT = 100\n[schedules]\npreset = sec5-truthful\n",
              ("privacy_report.csv",)),
         ],
         ids=["robustness", "truthfulness", "privacy-report"],
@@ -730,7 +734,7 @@ class TestCli:
 
     def test_assertion_failure_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text("[experiment]\nkind = gradcheck\n")
+        cfg_path.write_text("")
         # impossible threshold forces the failure path
         assert cli.main(["gradcheck", str(cfg_path), "--points", "1", "--threshold", "0"]) == 2
         # and stderr names the gradient and agent behind it
@@ -773,6 +777,9 @@ class TestCli:
             "[experiment]\nkind = robustness\nT = 5\nseeds = 0\n[robustness]\nbaseline_lambda = nan\n",
             "[experiment]\nkind = convergence\nT = 5\nseeds = 0\n[problem]\nproblem = nonconvex\nm = 1\nn = 1\nd = 1\n"
             "problem_seed = 1\n",
+            # the diagnostics are subcommands, not kinds a config may name
+            *(f"[experiment]\nkind = {kind}\nT = 5\nseeds = 0\n"
+              for kind in ("gradcheck", "privacy-report", "validate-graph")),
         ],
         ids=["unknown-kind", "non-integer-T", "truthfulness-not-ev", "ev-with-4-slots",
              "edge-weight-0", "edge-weight-inf", "edge-weight-1e308", "seed-negative", "seed-2-to-the-64",
@@ -781,7 +788,8 @@ class TestCli:
              "truthful-T-negative", "ring-m-2", "m-0", "problem-seed-negative", "problem-seed-2-to-the-128",
              "topology-seed-negative", "n-0", "d-0", "seeds-repeated", "workers-0", "T-1.5", "T-1e400", "m-20.7",
              "x0-policy-random", "lambda0-0", "alpha0-negative", "gamma1-inf", "gamma2-nan", "sigma-zeta-0",
-             "sigma-xi-0", "u-nan", "w1-inf", "baseline-lambda-nan", "nonconvex-without-curvature"],
+             "sigma-xi-0", "u-nan", "w1-inf", "baseline-lambda-nan", "nonconvex-without-curvature",
+             "kind-gradcheck", "kind-privacy-report", "kind-validate-graph"],
     )
     def test_config_error_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.setenv("DAGOPT_OUTPUT_DIR", str(tmp_path / "out"))

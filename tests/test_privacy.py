@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dagopt import privacy
-from dagopt.errors import DenominatorNonpositive, RegimeViolation
+from dagopt.errors import DagoptError
 from dagopt.harness.config import apply_preset, build_schedules, default_config
 
 # Golden values frozen from a 256-bit mpmath summation of the budget series
@@ -90,7 +90,7 @@ class TestConstants:
         assert privacy.c1_constant(sch, 0.48) == pytest.approx(1.92 / 0.42, rel=1e-12)
 
     def test_c1_nonpositive_denominator_rejected(self):
-        with pytest.raises(DenominatorNonpositive):
+        with pytest.raises(DagoptError, match=r"w_hat\*gamma2 = 1.2 must exceed u - w1 - w2 = 1.5"):
             privacy.c1_constant(truthful_schedules(), 0.3)  # 1.2 < 1.5
 
     def test_c2_hand_value(self):
@@ -135,7 +135,7 @@ class TestEpsilon:
 
     def test_regime_violation_raised_for_non_summable_stepsizes(self):
         sch = build_schedules(apply_preset(default_config(), "corollary1-cvx"))
-        with pytest.raises(RegimeViolation):
+        with pytest.raises(DagoptError, match="T2-truthful regime fails: .* budget would not be certified finite"):
             privacy.epsilon(100, sch, 0.48)
 
     def test_noise_magnitude_scales_budget_inversely(self):

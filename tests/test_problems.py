@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagopt.engine import metrics_block
-from dagopt.errors import DagoptError, InfeasibleBudget, PointTooCloseToBoundary
+from dagopt.errors import DagoptError
 from dagopt.harness.experiments import AdjacentScenario, perturb_spec
 from dagopt.problems import oracle, synthetic
 from dagopt.problems.base import F_grad, F_value, aggregate
@@ -120,7 +120,7 @@ class TestProjection:
         assert np.allclose(out, x_max)
 
     def test_infeasible_budget_rejected(self):
-        with pytest.raises(InfeasibleBudget):
+        with pytest.raises(DagoptError, match=r"some budget E outside \[0, sum\(x_max\)\]"):
             project_row(np.zeros(3), np.ones(3), 4.0)
 
     def test_batch_agrees_with_single(self):
@@ -303,11 +303,11 @@ class TestBoxBudgetProjection:
         assert np.array_equal(mass, [np.clip(points[0] - b, 0.0, x_max[0]).sum() for b in bp])
 
     def test_infeasible_budget_rejected_at_construction(self):
-        with pytest.raises(InfeasibleBudget):
+        with pytest.raises(DagoptError, match=r"some budget E outside \[0, sum\(x_max\)\]"):
             BoxBudgetProjection(np.ones((1, 3)), np.array([4.0]))
-        with pytest.raises(InfeasibleBudget):
+        with pytest.raises(DagoptError, match=r"some budget E outside \[0, sum\(x_max\)\]"):
             BoxBudgetProjection(np.ones((1, 3)), np.array([-1.0]))
-        with pytest.raises(InfeasibleBudget):
+        with pytest.raises(DagoptError, match="x_max must be nonnegative"):
             BoxBudgetProjection(-np.ones((1, 3)), np.array([0.0]))
 
 
@@ -579,15 +579,15 @@ class TestGradCheck:
         prob = gradcheck_problem("convex")
         x, psi = random_interior_point(prob, seed=0)
         x[4, 2] = 1.0 - 1e-6
-        with pytest.raises(PointTooCloseToBoundary, match="x\\^4 coordinate 2"):
+        with pytest.raises(DagoptError, match="x\\^4 coordinate 2 within 2h of the boundary"):
             finite_diff_check(prob, x, psi)
         ev = gradcheck_problem("ev")
         x, psi = random_interior_point(ev, seed=0)
         x[7, 0] = 0.0
-        with pytest.raises(PointTooCloseToBoundary, match="x\\^7 "):
+        with pytest.raises(DagoptError, match="x\\^7 .* within 2h of the boundary"):
             finite_diff_check(ev, x, psi)
         # both kinds of problem name the coordinate
-        with pytest.raises(PointTooCloseToBoundary, match="x\\^7 coordinate 0 "):
+        with pytest.raises(DagoptError, match="x\\^7 coordinate 0 within 2h of the boundary"):
             finite_diff_check(ev, x, psi)
 
 
