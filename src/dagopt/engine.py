@@ -94,10 +94,9 @@ class MetricsRecord:
     grad_est_err: float
     weighted_avg_gap: float
     weighted_avg_grad: float
-    diverged: bool = False
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord) if f.name != "diverged")
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def init_run(
@@ -280,8 +279,9 @@ def run(
 ) -> RunResult:
     """T rounds with a metrics record every ``stride`` iterations (plus t=0
     and t=T).  Weighted averages sum lambda_t * metric / sum lambda_t are
-    accumulated over every iteration.  On divergence the log is partial and
-    flagged.
+    accumulated over every iteration.  On divergence the run stops: the log
+    ends at the last record round before it, and ``diverged_at`` holds the
+    round whose state crossed DIVERGENCE_THRESHOLD.
 
     F(x_t) and grad F(x_t) are evaluated per block of iterates: the rounds
     that need them (every round when ``track_weighted``, else the record
@@ -380,9 +380,6 @@ def run(
         direction = _line4(state, state.schedules.gamma1.value(state.t))[1] if T > 0 else None
         pending.append((state.t, state.x, state.g_cache, False, (state.psi, state.y, direction)))
     flush()
-    if state.diverged_at is not None and records:
-        # flagged and stopped: the log is partial by design
-        records[-1].diverged = True
     return RunResult(
         records=records,
         final_state=state,

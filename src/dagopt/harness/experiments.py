@@ -13,6 +13,11 @@ pair runs once per distinct x0) and splits the distinct runs into
 ``workers`` contiguous chunks; problems pickle, so a chunk in another
 process gets a copy.  Results are folded in seed order, so the outputs are
 byte-identical for any worker count.
+
+A run's divergence is held once, in ``RunResult.diverged_at``.  The
+summaries keep what they compute from (the convergence seeds' divergence
+rounds, the robustness runs themselves), and the CSV trailer, the curve
+flags and the stderr lines are derived from it.
 """
 
 from __future__ import annotations
@@ -107,10 +112,9 @@ class ConvergenceSummary:
     mean_records: list[MetricsRecord]
     slope: float
     slope_metric: str  # which column the slope was fitted on
-    final_errors: dict[int, float]
     weighted_avg_gap: float
     weighted_avg_grad: float
-    diverged_seeds: tuple[int, ...]
+    diverged_seeds: dict[int, int]  # seed -> the round it diverged at, in seed order
     oracle: OracleSolution | None  # None for a nonconvex problem
 
     def files(self) -> list[tuple[str, str]]:
@@ -128,12 +132,15 @@ class ConvergenceSummary:
             f"diverged_seeds = {list(self.diverged_seeds)}",
             *_oracle_lines(self.oracle),
         ])
-        return [("metrics.csv", _records_csv(self.mean_records)), ("curve.svg", svg), ("manifest.txt", manifest)]
+        # the earliest diverging seed's short log is the one that cuts the mean curve
+        csv = _records_csv(self.mean_records, min(self.diverged_seeds.values(), default=None))
+        return [("metrics.csv", csv), ("curve.svg", svg), ("manifest.txt", manifest)]
 
     def verdict(self) -> tuple[list[str], list[str], int]:
         out = [f"convergence: slope={self.slope:.4f} on {self.slope_metric}, "
                f"diverged_seeds={list(self.diverged_seeds)}"]
-        return out, _oracle_warnings(self.oracle), EXIT_FAIL if self.diverged_seeds else EXIT_OK
+        err = [f"diverged: seed {seed} at t = {t}" for seed, t in self.diverged_seeds.items()]
+        return out, err + _oracle_warnings(self.oracle), EXIT_FAIL if self.diverged_seeds else EXIT_OK
 
 
 def _mean_records(per_seed: dict[int, list[MetricsRecord]]) -> list[MetricsRecord]:
@@ -145,7 +152,7 @@ def _mean_records(per_seed: dict[int, list[MetricsRecord]]) -> list[MetricsRecor
         vals = {
             c: float(np.mean([getattr(row, c) for row in rows])) for c in CSV_COLUMNS if c != "t"
         }
-        out.append(MetricsRecord(t=rows[0].t, diverged=any(row.diverged for row in rows), **vals))
+        out.append(MetricsRecord(t=rows[0].t, **vals))
     return out
 
 
@@ -171,30 +178,18 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> ConvergenceSummary:
     use_oracle = cfg.problem != "nonconvex"
     instance = build_instance(cfg)
     oracle = centralized_oracle(instance[0]) if use_oracle else None
-    per_seed: dict[int, list[MetricsRecord]] = {}
-    diverged = []
-    wgaps, wgrads, finals = [], [], {}
     runs = [(0, "alg1", cfg.noise_enabled, seed) for seed in cfg.seeds]
     results = _execute(cfg, (instance,), runs, cfg.T, _drop_state, stride=cfg.stride, oracle=oracle)
-    for seed, run in zip(cfg.seeds, results):
-        per_seed[seed] = run.records
-        if run.diverged_at is not None:
-            diverged.append(seed)
-        wgaps.append(run.weighted_avg_gap)
-        wgrads.append(run.weighted_avg_grad)
-        finals[seed] = run.records[-1].err_x if use_oracle else run.records[-1].grad_norm_sq
-    mean = _mean_records(per_seed)
+    mean = _mean_records({seed: run.records for seed, run in zip(cfg.seeds, results)})
     metric = "err_x" if use_oracle else "grad_norm_sq"
-    slope = fit_loglog_slope(mean, metric, cfg.T / 10.0, cfg.T)
     return ConvergenceSummary(
         cfg=cfg,
         mean_records=mean,
-        slope=slope,
+        slope=fit_loglog_slope(mean, metric, cfg.T / 10.0, cfg.T),
         slope_metric=metric,
-        final_errors=finals,
-        weighted_avg_gap=float(np.mean(wgaps)),
-        weighted_avg_grad=float(np.mean(wgrads)),
-        diverged_seeds=tuple(diverged),
+        weighted_avg_gap=float(np.mean([run.weighted_avg_gap for run in results])),
+        weighted_avg_grad=float(np.mean([run.weighted_avg_grad for run in results])),
+        diverged_seeds={seed: run.diverged_at for seed, run in zip(cfg.seeds, results) if run.diverged_at is not None},
         oracle=oracle,
     )
 
@@ -213,17 +208,15 @@ class CurveVerdict:
 @dataclass(frozen=True)
 class RobustnessSummary:
     cfg: ExperimentConfig
-    per_seed: dict[int, tuple[list[MetricsRecord], list[MetricsRecord]]]  # (alg1, baseline)
+    per_seed: dict[int, tuple[engine.RunResult, engine.RunResult]]  # (alg1, baseline), without final state
     verdicts: dict[int, tuple[CurveVerdict, CurveVerdict]]
-    seeds_baseline_flagged: tuple[int, ...]
-    seeds_alg1_flagged: tuple[int, ...]
     oracle: OracleSolution
 
     def files(self) -> list[tuple[str, str]]:
-        a_recs, b_recs = self.per_seed[sorted(self.per_seed)[0]]
+        a_run, b_run = self.per_seed[min(self.per_seed)]
         svg = line_plot(
-            [_curve_series(a_recs, "gap_F", "noise-injected tracker"),
-             _curve_series(b_recs, "gap_F", "conventional tracker")],
+            [_curve_series(a_run.records, "gap_F", "noise-injected tracker"),
+             _curve_series(b_run.records, "gap_F", "conventional tracker")],
             title="objective gap under identical noise", xlabel="iteration", ylabel="F - F*",
         )
         verdict_lines = [
@@ -232,11 +225,14 @@ class RobustnessSummary:
             for s, (a, b) in sorted(self.verdicts.items())
         ]
         manifest = _manifest(self.cfg, [*verdict_lines, *_oracle_lines(self.oracle)])
-        return [("metrics.csv", _records_csv(a_recs)), ("metrics_baseline.csv", _records_csv(b_recs)),
+        return [("metrics.csv", _records_csv(a_run.records, a_run.diverged_at)),
+                ("metrics_baseline.csv", _records_csv(b_run.records, b_run.diverged_at)),
                 ("curve.svg", svg), ("manifest.txt", manifest)]
 
     def verdict(self) -> tuple[list[str], list[str], int]:
-        nb, na, seeds = len(self.seeds_baseline_flagged), len(self.seeds_alg1_flagged), len(self.cfg.seeds)
+        na = sum(a.flagged for a, _ in self.verdicts.values())
+        nb = sum(b.flagged for _, b in self.verdicts.values())
+        seeds = len(self.cfg.seeds)
         out = [f"robustness: baseline flagged on {nb}/{seeds} seeds, noise-injected tracker flagged on {na}/{seeds}"]
         code = EXIT_FAIL if na else EXIT_DIVERGED_EXPECTED if nb else EXIT_OK
         return out, _oracle_warnings(self.oracle), code
@@ -250,11 +246,9 @@ def _error_at(records: list[MetricsRecord], t: int) -> float:
     return max(best.gap_F, _TINY) if best is not None else _TINY
 
 
-def _verdict(records: list[MetricsRecord], diverged_at) -> CurveVerdict:
-    t_end = records[-1].t
-    ratio = _error_at(records, t_end) / _error_at(records, T_REF)
-    diverged = diverged_at is not None or any(r.diverged for r in records)
-    return CurveVerdict(error_ratio=ratio, flagged=diverged or ratio > RATIO_THRESHOLD)
+def _verdict(run: engine.RunResult) -> CurveVerdict:
+    ratio = _error_at(run.records, run.records[-1].t) / _error_at(run.records, T_REF)
+    return CurveVerdict(error_ratio=ratio, flagged=run.diverged_at is not None or ratio > RATIO_THRESHOLD)
 
 
 def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
@@ -264,27 +258,11 @@ def run_robustness_experiment(cfg: ExperimentConfig) -> RobustnessSummary:
     more than RATIO_THRESHOLD times the error at T_REF)."""
     instance = build_instance(cfg)
     oracle = centralized_oracle(instance[0])
-    per_seed, verdicts = {}, {}
-    base_flagged, alg1_flagged = [], []
     runs = [(0, stepper, cfg.noise_enabled, seed) for seed in cfg.seeds for stepper in ("alg1", "baseline")]
     results = _execute(cfg, (instance,), runs, cfg.T, _drop_state, stride=cfg.stride, oracle=oracle)
-    for seed, a_run, b_run in zip(cfg.seeds, results[0::2], results[1::2]):
-        per_seed[seed] = (a_run.records, b_run.records)
-        va = _verdict(a_run.records, a_run.diverged_at)
-        vb = _verdict(b_run.records, b_run.diverged_at)
-        verdicts[seed] = (va, vb)
-        if vb.flagged:
-            base_flagged.append(seed)
-        if va.flagged:
-            alg1_flagged.append(seed)
-    return RobustnessSummary(
-        cfg=cfg,
-        per_seed=per_seed,
-        verdicts=verdicts,
-        seeds_baseline_flagged=tuple(base_flagged),
-        seeds_alg1_flagged=tuple(alg1_flagged),
-        oracle=oracle,
-    )
+    per_seed = dict(zip(cfg.seeds, zip(results[0::2], results[1::2])))
+    verdicts = {seed: (_verdict(a_run), _verdict(b_run)) for seed, (a_run, b_run) in per_seed.items()}
+    return RobustnessSummary(cfg=cfg, per_seed=per_seed, verdicts=verdicts, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +279,14 @@ class AdjacentScenario:
     shift_fraction: float
     pivot_slot: int
 
-    def __post_init__(self):
-        if not self.agents or len(set(self.agents)) != len(self.agents) or min(self.agents) < 0:
-            raise ValueError(f"perturbed agents must be distinct non-negative indices, got {list(self.agents)}")
-        if not (0.0 <= self.shift_fraction <= 1.0):
-            raise ValueError("shift_fraction must be in [0, 1]")
-
 
 def perturb_spec(spec: EVChargingSpec, scenario: AdjacentScenario) -> EVChargingSpec:
     """Move ``shift_fraction`` of each listed agent's pre-pivot demand mass
     uniformly onto the post-pivot slots, preserving its total demand; all
     other rows are untouched."""
     d = spec.d.copy()
-    m, K = d.shape
+    K = d.shape[1]
     p = scenario.pivot_slot
-    if not (0 < p < K):
-        raise ValueError("pivot slot must split the horizon")
-    if max(scenario.agents) >= m:
-        raise ValueError(f"perturbed agent {max(scenario.agents)} is out of range for m={m} agents")
     for i in scenario.agents:
         moved = scenario.shift_fraction * d[i, :p].sum()
         d[i, :p] *= 1.0 - scenario.shift_fraction
@@ -465,13 +433,12 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _records_csv(records: list[MetricsRecord]) -> str:
-    """The records as CSV plus a ``# diverged_at`` trailer.  Non-finite
-    values are written as they are: ``nan`` where a column has no value
-    (err_x and gap_F without an oracle) or a run diverged."""
-    div = [r.t for r in records if r.diverged]
+def _records_csv(records: list[MetricsRecord], diverged_at: int | None) -> str:
+    """The records as CSV plus a ``# diverged_at`` trailer holding the round
+    given, empty for None.  Non-finite values are written as they are:
+    ``nan`` where a column has no value (err_x and gap_F without an oracle)."""
     rows = ([getattr(rec, c) for c in CSV_COLUMNS] for rec in records)
-    return csv_text(CSV_COLUMNS, rows) + f"# diverged_at,{div[0] if div else ''}\n"
+    return csv_text(CSV_COLUMNS, rows) + f"# diverged_at,{'' if diverged_at is None else diverged_at}\n"
 
 
 def _write(path: str, text: str) -> None:

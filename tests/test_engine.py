@@ -163,7 +163,7 @@ class TestRun:
         _, _, _, b = small_setup(seed=9)
         ra = engine.run(a, T=50, stride=5)
         rb = engine.run(b, T=50, stride=5)
-        assert _records_csv(ra.records) == _records_csv(rb.records)
+        assert _records_csv(ra.records, ra.diverged_at) == _records_csv(rb.records, rb.diverged_at)
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_stride_below_one_rejected(self, stride):
@@ -175,12 +175,11 @@ class TestRun:
     def test_divergence_flagged_not_raised(self):
         _, _, _, st = small_setup(noise=True)
         # an exploded tracker must flag the run, not raise; the log is
-        # partial and its last record carries the divergence marker
+        # partial and diverged_at names the round
         st.y = st.y + 1e13
         res = engine.run(st, T=20, stride=1, stepper="baseline")
         assert res.diverged_at == 1
         assert len(res.records) == 1
-        assert res.records[-1].diverged
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e12, -2e12])
     @pytest.mark.parametrize("name", ["x", "y", "psi"])
@@ -237,7 +236,8 @@ class TestNoiseDraws:
         for elements in (1, 2 * 6 * 13, 7 * 6 * 13, schedules.NOISE_BLOCK_ELEMENTS):
             monkeypatch.setattr(schedules, "NOISE_BLOCK_ELEMENTS", elements)
             _, _, _, st = small_setup(seed=5)
-            texts.append(_records_csv(engine.run(st, T=40, stride=3, stepper=stepper).records))
+            res = engine.run(st, T=40, stride=3, stepper=stepper)
+            texts.append(_records_csv(res.records, res.diverged_at))
             assert st.streams[TAG_ZETA].rounds == max(1, elements // (6 * 13))
         assert all(text == texts[0] for text in texts[1:])
 
@@ -504,7 +504,6 @@ def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=
             grad_est_err=ge,
             weighted_avg_gap=(wgap / wsum) if wsum > 0 else fval - f_star,
             weighted_avg_grad=(wgrad / wsum) if wsum > 0 else float((gradF**2).sum()),
-            diverged=state.diverged_at is not None,
         )
 
     for t_iter in range(T):
@@ -525,8 +524,6 @@ def legacy_run(state, T, stride=1, oracle=None, stepper="alg1", baseline_lambda=
         if record_now:
             records.append(snapshot(t_iter, *pre, fval, gradF, direction))
         if state.diverged_at is not None:
-            if records:
-                records[-1].diverged = True
             break
     if state.diverged_at is None:
         fval = F_value(prob, state.x)
@@ -552,7 +549,7 @@ def assert_same_run(blocked, legacy):
     for rb, rl in zip(blocked.records, legacy.records):
         for field in dataclasses.fields(engine.MetricsRecord):
             vb, vl = getattr(rb, field.name), getattr(rl, field.name)
-            assert (vb == vl) if field.name in ("t", "diverged") else same_float(vb, vl), (rb.t, field.name, vb, vl)
+            assert (vb == vl) if field.name == "t" else same_float(vb, vl), (rb.t, field.name, vb, vl)
     assert same_float(blocked.weighted_avg_gap, legacy.weighted_avg_gap)
     assert same_float(blocked.weighted_avg_grad, legacy.weighted_avg_grad)
 
@@ -647,7 +644,6 @@ class TestBlockedMetrics:
         blocked, legacy = self.both(instances, T=200, stride=3)
         assert blocked.diverged_at == blow_up_at + 1
         assert [r.t for r in blocked.records] == list(range(0, blow_up_at + 1, 3))
-        assert [r.diverged for r in blocked.records] == [False] * (len(blocked.records) - 1) + [True]
         assert_same_run(blocked, legacy)
 
 

@@ -133,7 +133,6 @@ class TestSlopeFit:
             def __init__(self, t, v):
                 self.t = t
                 self.err_x = v
-                self.diverged = False
 
         recs = [R(t, 5.0 * t**-1.4) for t in range(1, 2001)]
         slope = fit_loglog_slope(recs, "err_x", 100, 2000)
@@ -178,22 +177,6 @@ class TestPerturbation:
         spec = desk_ev_spec(20)
         new = perturb_spec(spec, AdjacentScenario(agents=(2,), shift_fraction=0.0, pivot_slot=3))
         assert np.array_equal(spec.d, new.d)
-
-    def test_repeated_agent_rejected(self):
-        # a repeated agent would have its demand shifted twice and its cost
-        # counted twice in the liars' cost
-        with pytest.raises(ValueError, match="distinct"):
-            AdjacentScenario(agents=(2, 2), shift_fraction=0.4, pivot_slot=3)
-
-    def test_negative_agent_rejected(self):
-        # -1 would silently index the last agent
-        with pytest.raises(ValueError, match="non-negative"):
-            AdjacentScenario(agents=(-1,), shift_fraction=0.4, pivot_slot=3)
-
-    def test_agent_beyond_m_rejected(self):
-        # the scenario does not know m; the spec it perturbs does
-        with pytest.raises(ValueError, match=r"agent 20 is out of range for m=20"):
-            perturb_spec(desk_ev_spec(20), AdjacentScenario(agents=(20,), shift_fraction=0.4, pivot_slot=3))
 
 
 class TestTruthfulnessPlumbing:
@@ -402,6 +385,28 @@ class TestEmission:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert manifest_hash(cfg) in manifest
 
+    def test_diverged_baseline_run_is_flagged_and_trails_its_csv_with_its_round(self, monkeypatch):
+        # the exploded tracker of the engine's divergence test, in the baseline
+        # run of a robustness seed: it diverges at round 1
+        step_baseline = engine.step_baseline
+
+        def exploding(st, lam):
+            if st.t == 0:
+                st.y = st.y + 1e13
+            return step_baseline(st, lam=lam)
+
+        monkeypatch.setattr(engine, "step_baseline", exploding)
+        cfg = dataclasses.replace(parse_config(_SMALL["robustness"]), seeds=(0,), workers=1)
+        summary = run_robustness_experiment(cfg)
+        [(va, vb)] = summary.verdicts.values()
+        assert vb.flagged and not va.flagged
+        files = dict(summary.files())
+        assert files["metrics_baseline.csv"].endswith("\n# diverged_at,1\n")
+        assert files["metrics.csv"].endswith("\n# diverged_at,\n")
+        out, err, _ = summary.verdict()
+        assert out == ["robustness: baseline flagged on 1/1 seeds, noise-injected tracker flagged on 0/1"]
+        assert err == []
+
     def test_nonconvex_run_writes_nan_without_an_oracle(self, tmp_path):
         cfg = parse_config(
             "[experiment]\nkind = convergence\nT = 200\nstride = 10\nseeds = 0\n"
@@ -550,6 +555,21 @@ class TestCli:
         )
         assert cli.main(["run", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_diverged_convergence_run_names_each_seed_and_round(self, tmp_path, capsys):
+        # both seeds diverge at t = 8, between the record rounds 0 and 10
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\nkind = convergence\nT = 200\nstride = 10\nseeds = 0, 1\n"
+            f"output_dir = {tmp_path / 'out'}\n[problem]\nproblem = strongly-convex\nm = 6\n"
+            "[schedules]\npreset = corollary1-sc\nlambda0 = 1e12\nu = 0\nalpha0 = 100\nv = 0\n"
+        )
+        assert cli.main(["run", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "convergence: slope=nan on err_x, diverged_seeds=[0, 1]\n"
+        assert captured.err.splitlines() == ["diverged: seed 0 at t = 8", "diverged: seed 1 at t = 8"]
+        assert (tmp_path / "out" / "metrics.csv").read_text().endswith("\n# diverged_at,8\n")
+        assert "diverged_seeds = [0, 1]" in (tmp_path / "out" / "manifest.txt").read_text().splitlines()
 
     def test_gradcheck_subcommand(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"
